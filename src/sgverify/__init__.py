@@ -64,8 +64,6 @@ from .rearrange import (
     Rearrangement,
     check_rearrangement_transfer,
     excess_tail_moment,
-    moment,
-    moment_root,
     rearrangement_at,
     rearrangement_grid_law,
     tail_sum,

@@ -4,7 +4,8 @@ sweeps, corpus generation, and the convergence probe.
 Every output embeds its fully resolved configuration; `sgverify replay` on
 an output file reruns that configuration and reproduces the output byte for
 byte.  Exit codes: 0 all checks pass, 1 a non-degenerate check failed or
-axiom violations were found, 2 usage or configuration errors.
+axiom violations were found, 2 usage or configuration errors, 3 a resource
+limit was hit (an exact law needs more states than the state cap allows).
 """
 
 from __future__ import annotations
@@ -40,7 +41,12 @@ from .inequalities import (
     required_moment_growth_constant,
     sweep_moment_vs_quantile,
 )
-from .laws import sequence_engine_defaults, sequence_from_config, sequence_to_config
+from .laws import (
+    EnumerationCapError,
+    sequence_engine_defaults,
+    sequence_from_config,
+    sequence_to_config,
+)
 from .levy import WalkConfig, equivalence_experiment, simulate_walk, traces_to_csv
 from .reports import InequalityReport, RatioReport, canonical_json, reports_to_csv, to_jsonable
 from .semigroups import InstanceSpecError, parse_instance
@@ -73,7 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     ck = sub.add_parser("check", help="evaluate inequalities on a sequence config")
     ck.add_argument("sequence", help="path to a sequence config JSON file")
     ck.add_argument("--ineq", default="all", help="checker name or 'all'")
-    ck.add_argument("--grid", default="default", help="parameter grid for --ineq all")
+    ck.add_argument(
+        "--grid", choices=("default",), default="default", help="parameter grid for --ineq all"
+    )
     ck.add_argument("--engine", choices=("exact", "mc"), default=None)
     ck.add_argument("--trials", type=int, default=None)
     ck.add_argument("--seed", type=int, default=None)
@@ -306,14 +314,18 @@ def default_suite(seq) -> list:
     return reports
 
 
+def _first_given(*values):
+    return next(v for v in values if v is not None)
+
+
 def cmd_check(args) -> int:
     seq_config = json.loads(Path(args.sequence).read_text(encoding="utf-8"))
     seq = sequence_from_config(seq_config)
     defaults = sequence_engine_defaults(seq_config)
     # flags win over config-file engine preferences, which win over defaults
-    args.engine = args.engine or defaults["engine"] or "exact"
-    args.trials = args.trials if args.trials is not None else defaults["trials"] or 100_000
-    args.seed = args.seed if args.seed is not None else defaults["seed"] or 0
+    args.engine = _first_given(args.engine, defaults["engine"], "exact")
+    args.trials = _first_given(args.trials, defaults["trials"], 100_000)
+    args.seed = _first_given(args.seed, defaults["seed"], 0)
     if args.ineq == "all":
         if args.engine != "exact":
             raise ValueError("--ineq all runs on the exact engine")
@@ -450,7 +462,7 @@ def cmd_sweep(args) -> int:
         violations = 0
         checked = 0
         for seq in corpus:
-            for p, q in ((1, 1), (1, 2), (2, 4), (1, 8)):
+            for p, q in DEFAULT_PQ_GRID:
                 _, second = check_moment_growth(
                     seq, p0, p, q, args.eps, estimate.value, cprime
                 )
@@ -486,9 +498,9 @@ def cmd_levy(args) -> int:
         eps_grid=eps_grid,
         windows=windows,
     )
-    report = equivalence_experiment(config)
+    result = simulate_walk(config)
+    report = equivalence_experiment(result)
     if args.trace_csv:
-        result = simulate_walk(config)
         Path(args.trace_csv).write_text(traces_to_csv(result), encoding="utf-8")
     _emit(_payload("levy", config.to_jsonable(), report), args.out)
     return 0
@@ -558,6 +570,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except EnumerationCapError as exc:
+        print(f"error: resource limit: {exc}", file=sys.stderr)
+        return 3
     except (InstanceSpecError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,11 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .laws import (
+    DEFAULT_ENUMERATION_CAP,
     STEP_PEAK,
     WALK_PEAK,
     IndependentSequence,
     ScalarLaw,
-    enumerate_outcomes,
+    _advance,
+    _product,
     monte_carlo_law,
     sequence_to_config,
 )
@@ -324,40 +326,53 @@ def check_mogulskii(seq: IndependentSequence, m: int, a, b):
     (2) P(max_k d(z1, z0*s_k) >= a) * min_k P(d(s_k, s_n) <= b)
             <= P(d(z1, z0*s_n) >= a - b)
 
-    Returns the pair of reports, computed exactly in a single enumeration.
+    Returns the pair of reports, computed exactly.  A forward pass carries
+    (s_j, window min <= a seen, window max >= a seen); at each window index
+    k a second pass carries (s_k, s_j) from the law of s_k to j = n.
     """
     n = seq.n
     if not 1 <= m <= n:
         raise ValueError(f"window start must be in 1..{n}, got {m}")
     if a < 0 or b < 0:
         raise ValueError("radii must be nonnegative")
+    if not seq.is_exact:
+        raise ValueError("exact laws need finitely supported variables")
     inst = seq.instance
     z0, z1 = seq.z0, seq.z1
-    p_min_le = 0
-    p_max_ge = 0
-    p_end_le = 0
-    p_end_ge = 0
-    window = n - m + 1
-    stay = [0] * window
-    for outcome, prob in enumerate_outcomes(seq):
-        products = []
-        cur = None
-        for x in outcome:
-            cur = x if cur is None else inst.compose(cur, x)
-            products.append(cur)
-        shifted = [inst.distance(z1, inst.compose(z0, products[k])) for k in range(m - 1, n)]
-        if min(shifted) <= a:
-            p_min_le += prob
-        if max(shifted) >= a:
-            p_max_ge += prob
-        end = shifted[-1]
-        if end <= a + b:
-            p_end_le += prob
-        if end >= a - b:
-            p_end_ge += prob
-        for j, k in enumerate(range(m - 1, n)):
-            if inst.distance(products[k], products[-1]) <= b:
-                stay[j] += prob
+    _, product, _ = _product(inst)
+
+    def shifted(s):
+        return inst.distance(z1, inst.compose(z0, s))
+
+    def before_window(state, x):
+        return product(state[0], x), False, False
+
+    def in_window(state, x):
+        s = product(state[0], x)
+        dist = shifted(s)
+        return s, state[1] or dist <= a, state[2] or dist >= a
+
+    def pair_step(state, x):
+        return state[0], product(state[1], x)
+
+    cap = DEFAULT_ENUMERATION_CAP
+    states = {(None, False, False): Fraction(1)}
+    stay = []
+    for k, var in enumerate(seq.variables, 1):
+        states = _advance(states, var, in_window if k >= m else before_window, k, cap)
+        if k < m:
+            continue
+        pairs: dict = {}
+        for (s, _, _), w in states.items():
+            pairs[s, s] = pairs.get((s, s), 0) + w
+        for j in range(k, n):
+            pairs = _advance(pairs, seq.variables[j], pair_step, j + 1, cap)
+        stay.append(sum(w for (s_k, s_n), w in pairs.items() if inst.distance(s_k, s_n) <= b))
+    ends = [(shifted(s), low, high, w) for (s, low, high), w in states.items()]
+    p_min_le = sum(w for _, low, _, w in ends if low)
+    p_max_ge = sum(w for _, _, high, w in ends if high)
+    p_end_le = sum(w for end, _, _, w in ends if end <= a + b)
+    p_end_ge = sum(w for end, _, _, w in ends if end >= a - b)
     min_stay = min(stay)
     params = {"m": m, "a": a, "b": b}
     first = make_report(

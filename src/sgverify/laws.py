@@ -1,11 +1,14 @@
 """Independent step sequences and the laws of their path statistics.
 
-Two engines produce the law of any path functional:
+Each statistic is a transition step(state, x) plus value(state), and two
+engines push a measure on states forward one variable at a time, merging
+equal states:
 
-* exact enumeration over the product of finite supports, carrying Fraction
-  probabilities so downstream inequality checks certify at zero tolerance;
-* seeded Monte Carlo, where trial t's randomness is a pure function of
-  (seed, t), making results independent of execution order and chunking.
+* the exact engine keeps a dict from state to Fraction weight, so
+  downstream inequality checks certify at zero tolerance;
+* seeded Monte Carlo keeps one state id per trial, where trial t's
+  randomness is a pure function of (seed, t), making results independent
+  of execution order and chunking.
 
 The statistics of a path x_1..x_n with basepoints z0, z1 are the partial
 products s_j = x_1...x_j, the running peak distance max_{i<=j} d(z1, z0*s_i),
@@ -20,7 +23,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +43,7 @@ def is_rational(x) -> bool:
 
 
 class EnumerationCapError(ValueError):
-    """Joint support is too large for exact enumeration."""
+    """An exact law needs more states (or outcomes) than the cap allows."""
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +105,6 @@ class DiscreteDistribution:
     @property
     def is_rational(self) -> bool:
         return all(is_rational(p) for _, p in self.atoms)
-
-    def prob_of(self, element):
-        for e, p in self.atoms:
-            if e == element:
-                return p
-        return 0
 
 
 class Sampler:
@@ -212,13 +210,6 @@ class ScalarLaw:
     def prob_le(self, x):
         """P(X <= x)."""
         return self._suffix[0] - self.tail(x)
-
-    def se_tail(self, x) -> float:
-        """Binomial standard error of the empirical tail at x."""
-        if self.trials is None:
-            raise ValueError("standard errors need an empirical law with trials")
-        p = float(self.tail(x))
-        return math.sqrt(p * (1.0 - p) / self.trials)
 
     def moment(self, p):
         """E[X^p]; exact (Fraction) when p is a positive int on a rational law."""
@@ -391,84 +382,107 @@ class IndependentSequence:
         return exact_functional_law(self, END_DISTANCE)
 
 
+# ---------------------------------------------------------------------------
+# path statistics as transitions
+#
+# A statistic is (start, step, value): folding step(state, x) over x_1..x_n
+# from `start` and applying `value` to the final state gives the statistic of
+# the path.  Both engines push a measure on states forward one variable at a
+# time and merge equal states, so the work grows with the number of distinct
+# states rather than with the number of joint outcomes.
+
+
+def _product(inst: MetricSemigroup) -> tuple:
+    """The partial product s_j = x_1...x_j (no start element is needed)."""
+    compose = inst.compose
+
+    def step(s, x):
+        return x if s is None else compose(s, x)
+
+    return None, step, lambda s: s
+
+
+def _statistic(seq: IndependentSequence, statistic) -> tuple:
+    """(start, step, value) of a named scalar statistic."""
+    compose, distance = seq.instance.compose, seq.instance.distance
+    z0, z1 = seq.z0, seq.z1
+    if statistic == WALK_PEAK:
+
+        def walk_peak(state, x):
+            position, peak = state
+            position = compose(position, x)
+            dist = distance(z1, position)
+            return position, dist if peak is None or dist > peak else peak
+
+        return (z0, None), walk_peak, itemgetter(1)
+    if statistic == END_DISTANCE:
+        return z0, compose, lambda position: distance(z1, position)
+    if statistic == STEP_PEAK:
+
+        def step_peak(peak, x):
+            mag = distance(z0, compose(z0, x))
+            return mag if peak is None or mag > peak else peak
+
+        return None, step_peak, lambda peak: peak
+    raise ValueError(f"unknown statistic {statistic!r}")
+
+
+def _running(statistic: tuple, outcome: Sequence) -> tuple:
+    """Values of a statistic along one outcome, after each step."""
+    state, step, value = statistic
+    values = []
+    for x in outcome:
+        state = step(state, x)
+        values.append(value(state))
+    return tuple(values)
+
+
 def path_trace(seq: IndependentSequence, outcome: Sequence) -> PathTrace:
     """All four path statistics for one outcome; validates elements."""
     if len(outcome) != seq.n:
         raise ValueError(f"outcome length {len(outcome)} != sequence length {seq.n}")
     for x in outcome:
         seq.instance.require_element(x)
-    return _trace_unchecked(seq, outcome)
+    step_peak = _statistic(seq, STEP_PEAK)
+    _, magnitude_peak, _ = step_peak
+    return PathTrace(
+        _running(_product(seq.instance), outcome),
+        _running(_statistic(seq, WALK_PEAK), outcome),
+        tuple(magnitude_peak(None, x) for x in outcome),
+        _running(step_peak, outcome),
+    )
 
 
-def _trace_unchecked(seq: IndependentSequence, outcome: Sequence) -> PathTrace:
-    inst = seq.instance
-    products = []
-    peaks = []
-    steps = []
-    step_peaks = []
-    cur = None
-    shifted = seq.z0
-    peak = None
-    step_peak = None
-    for x in outcome:
-        cur = x if cur is None else inst.compose(cur, x)
-        products.append(cur)
-        shifted = inst.compose(shifted, x)
-        dist = inst.distance(seq.z1, shifted)
-        peak = dist if peak is None else max(peak, dist)
-        peaks.append(peak)
-        mag = inst.distance(seq.z0, inst.compose(seq.z0, x))
-        steps.append(mag)
-        step_peak = mag if step_peak is None else max(step_peak, mag)
-        step_peaks.append(step_peak)
-    return PathTrace(tuple(products), tuple(peaks), tuple(steps), tuple(step_peaks))
+def _advance(states: dict, var, step, index: int, cap: int) -> dict:
+    """Push a measure on states through step `index` (1-based) drawn from
+    `var`; equal states merge and their weights add.
 
-
-def _statistic_fn(seq: IndependentSequence, statistic) -> Callable:
-    inst = seq.instance
-    z0, z1 = seq.z0, seq.z1
-    if statistic == WALK_PEAK:
-
-        def walk_peak(outcome):
-            cur = z0
-            best = None
-            for x in outcome:
-                cur = inst.compose(cur, x)
-                dist = inst.distance(z1, cur)
-                if best is None or dist > best:
-                    best = dist
-            return best
-
-        return walk_peak
-    if statistic == STEP_PEAK:
-
-        def step_peak(outcome):
-            best = None
-            for x in outcome:
-                mag = inst.distance(z0, inst.compose(z0, x))
-                if best is None or mag > best:
-                    best = mag
-            return best
-
-        return step_peak
-    if statistic == END_DISTANCE:
-
-        def end_distance(outcome):
-            cur = z0
-            for x in outcome:
-                cur = inst.compose(cur, x)
-            return inst.distance(z1, cur)
-
-        return end_distance
-    if callable(statistic):
-        return statistic
-    raise ValueError(f"unknown statistic {statistic!r}")
+    The cap bounds the (state, atom) pairs of one layer and is checked before
+    the layer is expanded.
+    """
+    if len(states) * len(var.atoms) > cap:
+        raise EnumerationCapError(
+            f"{len(states)} states reached before step {index}; its "
+            f"{len(var.atoms)} atoms would exceed the state cap {cap}"
+        )
+    out: dict = {}
+    for state, weight in states.items():
+        for x, prob in var.atoms:
+            nxt = step(state, x)
+            mass = weight * prob
+            seen = out.get(nxt)
+            out[nxt] = mass if seen is None else seen + mass
+    return out
 
 
 def enumerate_outcomes(
     seq: IndependentSequence, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[tuple]:
-    """Yield (outcome, probability) over the joint support."""
+    """Yield (outcome, probability) over the joint support.
+
+    The exact engine does not use this; it is the reference that tests
+    compare the state-merging push-forward against.
+    """
     if not seq.is_exact:
         raise ValueError("exact enumeration needs finitely supported variables")
     count = seq.outcome_count
@@ -486,87 +500,21 @@ def exact_functional_law(
     statistic,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ScalarLaw:
-    """Law of a nonnegative path functional under the product measure."""
-    fn = _statistic_fn(seq, statistic)
-    masses: dict = {}
-    for outcome, prob in enumerate_outcomes(seq, cap):
-        v = fn(outcome)
-        masses[v] = masses.get(v, 0) + prob
-    return ScalarLaw.from_pairs(masses.items())
+    """Law of a path statistic under the product measure.
+
+    `cap` bounds the merged states times the atoms of the next step.
+    """
+    start, step, value = _statistic(seq, statistic)
+    if not seq.is_exact:
+        raise ValueError("exact laws need finitely supported variables")
+    states = {start: Fraction(1)}
+    for index, var in enumerate(seq.variables, 1):
+        states = _advance(states, var, step, index, cap)
+    return ScalarLaw.from_pairs((value(s), w) for s, w in states.items())
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo engine
-
-
-def _variable_drawers(seq: IndependentSequence):
-    """Per-variable (width, kind, payload) used by the trial loop."""
-    drawers = []
-    for var in seq.variables:
-        if _variable_is_discrete(var):
-            atoms = [e for e, _ in var.atoms]
-            cum = np.cumsum([float(p) for _, p in var.atoms])
-            cum[-1] = 1.0
-            drawers.append((1, "discrete", (atoms, cum)))
-        else:
-            drawers.append((var.width, "sampler", var))
-    return drawers
-
-
-def _mc_discrete_counts(seq, statistic, trials, seed, chunk_size) -> dict:
-    """Trial loop specialized to all-discrete variables and named statistics."""
-    inst = seq.instance
-    z0, z1 = seq.z0, seq.z1
-    compose = inst.compose
-    distance = inst.distance
-    atom_lists = [[e for e, _ in var.atoms] for var in seq.variables]
-    cums = []
-    for var in seq.variables:
-        cum = np.cumsum([float(p) for _, p in var.atoms])
-        cum[-1] = 1.0
-        cums.append(cum)
-    mag_lists = None
-    if statistic == STEP_PEAK:
-        mag_lists = [
-            [distance(z0, compose(z0, e)) for e in atoms] for atoms in atom_lists
-        ]
-    n = seq.n
-    var_range = range(n)
-    counts: dict = {}
-    done = 0
-    while done < trials:
-        batch = min(chunk_size, trials - done)
-        u = uniform_block(seed, n, done, batch)
-        cols = [
-            np.searchsorted(cums[j], u[:, j], side="right").tolist() for j in var_range
-        ]
-        if statistic == WALK_PEAK:
-            for row in range(batch):
-                cur = z0
-                best = None
-                for j in var_range:
-                    cur = compose(cur, atom_lists[j][cols[j][row]])
-                    d = distance(z1, cur)
-                    if best is None or d > best:
-                        best = d
-                counts[best] = counts.get(best, 0) + 1
-        elif statistic == STEP_PEAK:
-            for row in range(batch):
-                best = None
-                for j in var_range:
-                    m = mag_lists[j][cols[j][row]]
-                    if best is None or m > best:
-                        best = m
-                counts[best] = counts.get(best, 0) + 1
-        else:  # END_DISTANCE
-            for row in range(batch):
-                cur = z0
-                for j in var_range:
-                    cur = compose(cur, atom_lists[j][cols[j][row]])
-                d = distance(z1, cur)
-                counts[d] = counts.get(d, 0) + 1
-        done += batch
-    return counts
 
 
 def monte_carlo_law(
@@ -582,41 +530,54 @@ def monte_carlo_law(
     by `seed`, so the law is reproducible and independent of chunking.  On
     exact carriers the sampled functional values stay exact (Fraction/int)
     and the empirical measure is represented as counts/trials.
+
+    Each chunk keeps one state id per trial.  A discrete column steps once
+    per distinct (state, atom) pair; a sampler column steps once per trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if seq.is_exact and statistic in (WALK_PEAK, STEP_PEAK, END_DISTANCE):
-        counts = _mc_discrete_counts(seq, statistic, trials, seed, chunk_size)
-        return ScalarLaw.from_counts(counts, trials, seed)
-    fn = _statistic_fn(seq, statistic)
-    drawers = _variable_drawers(seq)
-    width = sum(w for w, _, _ in drawers)
-    counts = {}
+    start, step, value = _statistic(seq, statistic)
+    cums = []
+    for var in seq.variables:
+        if _variable_is_discrete(var):
+            cum = np.cumsum([float(p) for _, p in var.atoms])
+            cum[-1] = 1.0
+            cums.append(cum)
+        else:
+            cums.append(None)
+    width = sum(var.width if cum is None else 1 for var, cum in zip(seq.variables, cums))
+    counts: dict = {}
     done = 0
     while done < trials:
         batch = min(chunk_size, trials - done)
         u = uniform_block(seed, width, done, batch)
-        index_cols = []
+        states = [start]
+        ids = np.zeros(batch, dtype=np.intp)
         col = 0
-        for w, kind, payload in drawers:
-            if kind == "discrete":
-                _, cum = payload
-                index_cols.append(np.searchsorted(cum, u[:, col], side="right"))
-            else:
-                index_cols.append(None)
-            col += w
-        for row in range(batch):
-            outcome = []
-            col = 0
-            for (w, kind, payload), idx in zip(drawers, index_cols):
-                if kind == "discrete":
-                    atoms, _ = payload
-                    outcome.append(atoms[min(int(idx[row]), len(atoms) - 1)])
-                else:
-                    outcome.append(payload.draw(u[row, col : col + w]))
+        for var, cum in zip(seq.variables, cums):
+            if cum is None:
+                w = var.width
+                states = [
+                    step(states[i], var.draw(u[row, col : col + w]))
+                    for row, i in enumerate(ids.tolist())
+                ]
+                ids = np.arange(batch)
                 col += w
-            v = fn(outcome)
-            counts[v] = counts.get(v, 0) + 1
+                continue
+            k = len(var.atoms)
+            atom = np.searchsorted(cum, u[:, col], side="right")
+            pairs, inverse = np.unique(ids * k + atom, return_inverse=True)
+            merged: dict = {}
+            new_ids = [
+                merged.setdefault(step(states[p // k], var.atoms[p % k][0]), len(merged))
+                for p in pairs.tolist()
+            ]
+            states = list(merged)
+            ids = np.asarray(new_ids, dtype=np.intp)[inverse]
+            col += 1
+        for state, c in zip(states, np.bincount(ids, minlength=len(states)).tolist()):
+            v = value(state)
+            counts[v] = counts.get(v, 0) + c
         done += batch
     return ScalarLaw.from_counts(counts, trials, seed)
 

@@ -296,7 +296,7 @@ def detect_convergence(result: WalkResult) -> ConvergenceVerdict:
     )
 
 
-def equivalence_experiment(config: WalkConfig) -> dict:
+def equivalence_experiment(result: WalkResult) -> dict:
     """Compare the in-probability proxy with the pathwise Cauchy proxy.
 
     The pathwise criterion checks the Cauchy gap at the last window; the
@@ -304,7 +304,7 @@ def equivalence_experiment(config: WalkConfig) -> dict:
     at the horizon.  Stochastic and almost-sure convergence coincide for
     these walks, so the two indicators should agree on almost every path.
     """
-    result = simulate_walk(config)
+    config = result.config
     verdict = detect_convergence(result)
     eps = min(config.eps_grid)
     last = config.windows[-1]

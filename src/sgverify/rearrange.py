@@ -178,14 +178,6 @@ def truncate_upper(
     return DiscreteDistribution.of(pairs, merge=True)
 
 
-def moment(law: ScalarLaw, p):
-    return law.moment(p)
-
-
-def moment_root(law: ScalarLaw, p):
-    return law.moment_root(p)
-
-
 # ---------------------------------------------------------------------------
 # tail-comparison transfer to rearrangements
 

@@ -1,8 +1,10 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from sgverify import cli, inequalities, levy
 from sgverify.cli import main
 
 F = Fraction
@@ -169,6 +171,36 @@ def test_check_remaining_subcommands(seq_file, tmp_path):
         assert read_json(out)["results"], extra
 
 
+def test_check_zero_trials_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(dict(RADEMACHER2, engine="mc", trials=0)))
+    code = run(["check", str(path), "--ineq", "hj-simple", "--repeats", "1", "--t", "1"])
+    assert code == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+
+
+def test_check_grid_accepts_only_default(seq_file, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        run(["check", seq_file, "--grid", "nonsense-value"])
+    assert err.value.code == 2
+    out = tmp_path / "rep.json"
+    assert run(["check", seq_file, "--grid", "default", "--out", str(out)]) == 0
+    assert read_json(out)["config"]["grid"] == "default"
+
+
+def test_state_cap_is_a_resource_limit(seq_file, monkeypatch, capsys):
+    # two merged states times two atoms exceed a cap of three before step 2
+    monkeypatch.setattr(inequalities, "DEFAULT_ENUMERATION_CAP", 3)
+    code = run(
+        ["check", seq_file, "--ineq", "mogulskii", "--m", "1", "--a", "1", "--b", "1"]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: resource limit: ")
+    assert "2 states reached before step 2" in err
+    assert "state cap 3" in err
+
+
 def test_corpus_and_sweep_round_trip(tmp_path):
     corpus_file = tmp_path / "corpus.json"
     assert run(["corpus", "--count", "10", "--seed", "1", "--out", str(corpus_file)]) == 0
@@ -249,6 +281,33 @@ def test_levy_trace_export(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "path,j,distance"
     assert len(lines) == 21
+
+
+def test_levy_trace_export_simulates_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return simulate(config)
+
+    simulate = levy.simulate_walk
+    monkeypatch.setattr(levy, "simulate_walk", counted)
+    monkeypatch.setattr(cli, "simulate_walk", counted)
+    out = tmp_path / "levy.json"
+    csv_path = tmp_path / "trace.csv"
+    code = run(
+        ["levy", "--paths", "6", "--horizon", "40", "--windows", "5,10", "--seed", "3",
+         "--trace-csv", str(csv_path), "--out", str(out)]
+    )
+    assert code == 0
+    assert len(calls) == 1
+    # digests of the outputs written when every path was simulated twice
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "04cbec23a8df22890007cca81a711ab2e2558ead5b6394b1a07d63e4195d7bb0"
+    )
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "3863045821a08286f075fa55aa5d33f6316ce1af38ce038bfb6d72b4443cc960"
+    )
 
 
 def test_replay_reproduces_outputs_byte_for_byte(tmp_path):

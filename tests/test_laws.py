@@ -84,6 +84,16 @@ def test_walk_peak_moments():
     assert law.moment_root(2) == pytest.approx(math.sqrt(2.5))
 
 
+def test_moment_helpers():
+    law = ScalarLaw.from_pairs([(1, F(1, 2)), (2, F(1, 2))])
+    assert law.moment(1) == F(3, 2)
+    assert law.moment(2) == F(5, 2)
+    assert law.moment_root(1) == F(3, 2)
+    assert law.moment_root(2) == pytest.approx(math.sqrt(2.5))
+    point = ScalarLaw.point_mass(F(3))
+    assert point.moment(2) == 9
+
+
 def test_single_variable_peak_equals_magnitude_law():
     seq = IndependentSequence.build(IntegerAdditive(), [rademacher()])
     assert seq.walk_peak_law.values == seq.magnitude_laws[0].values
@@ -134,6 +144,17 @@ def test_enumeration_cap():
     seq = IndependentSequence.build(IntegerAdditive(), [var] * 5)
     with pytest.raises(EnumerationCapError):
         list(enumerate_outcomes(seq, cap=100))
+
+
+def test_state_cap_is_checked_before_expanding_a_layer():
+    # +-1 steps from 0: 1, 2, 3, 6 (position, peak) states before steps 1..4
+    seq = rademacher_seq(4)
+    assert exact_functional_law(seq, "walk_peak", cap=12).values == (1, 2, 3, 4)
+    with pytest.raises(EnumerationCapError) as err:
+        exact_functional_law(seq, "walk_peak", cap=11)
+    assert str(err.value) == (
+        "6 states reached before step 4; its 2 atoms would exceed the state cap 11"
+    )
 
 
 def test_exact_law_rejects_samplers():

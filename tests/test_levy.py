@@ -57,11 +57,11 @@ def test_verdict_deterministic():
 
 
 def test_equivalence_agreement_both_regimes():
-    converging = equivalence_experiment(WalkConfig(paths=40, seed=2))
+    converging = equivalence_experiment(simulate_walk(WalkConfig(paths=40, seed=2)))
     assert converging["agreement_rate"] == 1.0
     assert converging["pathwise_fraction"] == 1.0
     diverging = equivalence_experiment(
-        WalkConfig(schedule="constant:uniform", paths=40, seed=2)
+        simulate_walk(WalkConfig(schedule="constant:uniform", paths=40, seed=2))
     )
     assert diverging["agreement_rate"] == 1.0
     assert diverging["pathwise_fraction"] == 0.0
@@ -69,7 +69,7 @@ def test_equivalence_agreement_both_regimes():
 
 def test_equivalence_mixed_schedule_converges_late():
     report = equivalence_experiment(
-        WalkConfig(schedule="mixed:3:50", paths=40, seed=2)
+        simulate_walk(WalkConfig(schedule="mixed:3:50", paths=40, seed=2))
     )
     assert report["verdict"]["verdict"] == "converging"
     assert report["agreement_rate"] == 1.0

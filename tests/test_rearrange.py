@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -12,8 +11,6 @@ from sgverify import (
     TransferTuple,
     check_rearrangement_transfer,
     excess_tail_moment,
-    moment,
-    moment_root,
     parse_instance,
     rearrangement_at,
     rearrangement_grid_law,
@@ -209,16 +206,6 @@ def test_truncation_needs_identity():
     completed = parse_instance("posreal+1")
     out = truncate(dist, F(1, 2), completed)
     assert out.atoms[0][0] is completed.identity
-
-
-def test_moment_helpers():
-    law = ScalarLaw.from_pairs([(1, F(1, 2)), (2, F(1, 2))])
-    assert moment(law, 1) == F(3, 2)
-    assert moment(law, 2) == F(5, 2)
-    assert moment_root(law, 1) == F(3, 2)
-    assert moment_root(law, 2) == pytest.approx(math.sqrt(2.5))
-    point = ScalarLaw.point_mass(F(3))
-    assert moment(point, 2) == 9
 
 
 def test_transfer_identity_tuple():
