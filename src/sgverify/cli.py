@@ -1,16 +1,25 @@
 """Batch command-line surface: axiom checks, inequality suites, constant
 sweeps, corpus generation, and the convergence probe.
 
-Every output embeds its fully resolved configuration; `sgverify replay` on
-an output file reruns that configuration and reproduces the output byte for
-byte.  Exit codes: 0 all checks pass, 1 a non-degenerate check failed or
-axiom violations were found, 2 usage or configuration errors, 3 a resource
-limit was hit (an exact law needs more states than the state cap allows).
+Each subcommand is a pair in `COMMANDS`: `config_from_args` resolves the
+flags into the configuration that the output embeds, and `run` does the work
+from that configuration.  `sgverify replay` on an output file passes its
+embedded configuration to the same `run`, so it reproduces the output byte
+for byte for all five commands.  A `sweep` embeds its corpus spec, not its
+sequences: its replay regenerates the corpus from the spec, which reproduces
+sweeps over the default corpus and over files written by `sgverify corpus`,
+but not over hand-edited corpus files.  CSV outputs and the `levy
+--trace-csv` side file are not replay inputs.
+
+Exit codes: 0 all checks pass, 1 a non-degenerate check failed or axiom
+violations were found, 2 usage or configuration errors, 3 a resource limit
+was hit (an exact law needs more states than the state cap allows).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -41,24 +50,48 @@ from .inequalities import (
     required_moment_growth_constant,
     sweep_moment_vs_quantile,
 )
-from .laws import (
-    EnumerationCapError,
-    sequence_engine_defaults,
-    sequence_from_config,
-    sequence_to_config,
-)
+from .laws import EnumerationCapError, sequence_from_config, sequence_to_config
 from .levy import WalkConfig, equivalence_experiment, simulate_walk, traces_to_csv
 from .reports import InequalityReport, RatioReport, canonical_json, reports_to_csv, to_jsonable
 from .semigroups import InstanceSpecError, parse_instance
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+# `check` flags: name -> (type, default, help).  The table adds them to the
+# parser, echoes the given ones into the output config, and parses them back
+# from that config.
+CHECK_FLAGS = {
+    "k": (int, None, "number of blocks"),
+    "n1": (int, None, None),
+    "t1": (_rational, None, None),
+    "n2": (int, None, None),
+    "t2": (_rational, None, None),
+    "n3": (int, None, None),
+    "t3": (_rational, None, None),
+    "s": (_rational, None, "shift (hj) or s (quantile-ratio)"),
+    "t": (_rational, None, None),
+    "p": (_rational, None, None),
+    "q": (_rational, None, None),
+    "p0": (_rational, Fraction(1), None),
+    "eps": (float, math.log(16), None),
+    "c": (float, None, None),
+    "cprime": (float, None, None),
+    "eta": (float, None, None),
+    "r": (_rational, None, None),
+    "m": (int, None, None),
+    "a": (_rational, None, None),
+    "b": (_rational, None, None),
+    "repeats": (int, None, "K for hj-simple"),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgverify",
@@ -74,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     ax.add_argument("--seed", type=int, default=0)
     ax.add_argument("--tol", type=float, default=None)
     ax.add_argument("--out", default=None)
-    ax.set_defaults(func=cmd_axioms)
 
     ck = sub.add_parser("check", help="evaluate inequalities on a sequence config")
     ck.add_argument("sequence", help="path to a sequence config JSON file")
@@ -85,27 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--engine", choices=("exact", "mc"), default=None)
     ck.add_argument("--trials", type=int, default=None)
     ck.add_argument("--seed", type=int, default=None)
-    ck.add_argument("--k", type=int, default=None, help="number of blocks")
-    for i in (1, 2, 3):
-        ck.add_argument(f"--n{i}", type=int, default=None)
-        ck.add_argument(f"--t{i}", type=_rational, default=None)
-    ck.add_argument("--s", type=_rational, default=None, help="shift (hj) or s (quantile-ratio)")
-    ck.add_argument("--t", type=_rational, default=None)
-    ck.add_argument("--p", type=_rational, default=None)
-    ck.add_argument("--q", type=_rational, default=None)
-    ck.add_argument("--p0", type=_rational, default=Fraction(1))
-    ck.add_argument("--eps", type=float, default=math.log(16))
-    ck.add_argument("--c", type=float, default=None)
-    ck.add_argument("--cprime", type=float, default=None)
-    ck.add_argument("--eta", type=float, default=None)
-    ck.add_argument("--r", type=_rational, default=None)
-    ck.add_argument("--m", type=int, default=None)
-    ck.add_argument("--a", type=_rational, default=None)
-    ck.add_argument("--b", type=_rational, default=None)
-    ck.add_argument("--repeats", type=int, default=None, help="K for hj-simple")
+    for name, (kind, default, help_text) in CHECK_FLAGS.items():
+        ck.add_argument(f"--{name}", type=kind, default=default, help=help_text)
     ck.add_argument("--out", default=None)
     ck.add_argument("--format", choices=("json", "csv"), default="json")
-    ck.set_defaults(func=cmd_check)
 
     sw = sub.add_parser("sweep", help="estimate a universal constant over a corpus")
     sw.add_argument("--constant", choices=("c", "c1", "approx-ratios"), default="c")
@@ -116,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--eps", type=float, default=math.log(16))
     sw.add_argument("--out", default=None)
     sw.add_argument("--format", choices=("json", "csv"), default="json")
-    sw.set_defaults(func=cmd_sweep)
 
     lv = sub.add_parser("levy", help="simulate a walk and probe the dichotomy")
     lv.add_argument("--instance", default="torus:1")
@@ -128,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     lv.add_argument("--windows", default="10,25,50,100")
     lv.add_argument("--trace-csv", default=None, help="also export per-path traces")
     lv.add_argument("--out", default=None)
-    lv.set_defaults(func=cmd_levy)
 
     cp = sub.add_parser("corpus", help="generate a reproducible sequence corpus")
     cp.add_argument("--count", type=int, default=100)
@@ -137,12 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--instances", default=",".join(CorpusSpec().instances))
     cp.add_argument("--seed", type=int, default=1)
     cp.add_argument("--out", default=None)
-    cp.set_defaults(func=cmd_corpus)
 
     rp = sub.add_parser("replay", help="rerun the embedded config of an output file")
     rp.add_argument("output", help="path to a previous output JSON file")
     rp.add_argument("--out", default=None)
-    rp.set_defaults(func=cmd_replay)
 
     return parser
 
@@ -154,115 +165,54 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _payload(command: str, config: dict, results) -> str:
-    return canonical_json({"command": command, "config": config, "results": results})
+def _read_json(path: str):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# Each `run(config, args)` below works from the JSON form of its config.
+# `args` holds the invoking command's arguments and supplies only what the
+# output does not embed: a sweep's corpus file, the output format and the
+# levy trace side file.  On replay it holds the replay arguments, so none of
+# these apply.  `run` returns (payload fields besides command and config,
+# exit code).
 
 
 # ---------------------------------------------------------------------------
 # axioms
 
 
-def cmd_axioms(args) -> int:
-    inst = parse_instance(args.instance)
-    samples = args.samples
-    if args.exhaustive:
-        samples = None
-    config = {
+def axioms_config(args) -> dict:
+    return {
         "instance": args.instance,
-        "samples": samples,
+        "samples": None if args.exhaustive else args.samples,
         "seed": args.seed,
         "tol": args.tol,
     }
-    report = verify_axioms(inst, samples=samples, seed=args.seed, tol=args.tol)
-    _emit(_payload("axioms", config, report.to_jsonable()), args.out)
-    return 0 if report.ok else 1
+
+
+def run_axioms(config: dict, args):
+    report = verify_axioms(
+        parse_instance(config["instance"]),
+        samples=config["samples"],
+        seed=config["seed"],
+        tol=config["tol"],
+    )
+    return {"results": report}, 0 if report.ok else 1
 
 
 # ---------------------------------------------------------------------------
 # inequality checks
 
 
-def _hj_params_from_args(args) -> HJParameters:
-    sizes = [n for n in (args.n1, args.n2, args.n3) if n is not None]
-    thresholds = [t for t in (args.t1, args.t2, args.t3) if t is not None]
-    if args.k is not None and args.k != len(sizes):
-        raise ValueError(f"--k {args.k} does not match {len(sizes)} block sizes")
+def _hj_params(flags: dict) -> HJParameters:
+    sizes = [flags[n] for n in ("n1", "n2", "n3") if n in flags]
+    thresholds = [flags[t] for t in ("t1", "t2", "t3") if t in flags]
+    if "k" in flags and flags["k"] != len(sizes):
+        raise ValueError(f"--k {flags['k']} does not match {len(sizes)} block sizes")
     if not sizes or len(sizes) != len(thresholds):
         raise ValueError("hj needs matching --n1..--n3 and --t1..--t3 flags")
-    shift = args.s if args.s is not None else Fraction(0)
-    return HJParameters(tuple(sizes), tuple(thresholds), shift)
-
-
-def _run_single_check(seq, args) -> list:
-    name = args.ineq
-    if name == "hj":
-        return [
-            check_hj(seq, _hj_params_from_args(args), engine=args.engine,
-                     trials=args.trials, seed=args.seed)
-        ]
-    if name == "hj-simple":
-        if args.repeats is None or args.t is None:
-            raise ValueError("hj-simple needs --repeats and --t")
-        return [
-            check_hj_simple(seq, args.repeats, args.t, engine=args.engine,
-                            trials=args.trials, seed=args.seed)
-        ]
-    if args.engine != "exact":
-        raise ValueError(f"checker {name!r} supports only the exact engine")
-    if name == "mogulskii":
-        if args.m is None or args.a is None or args.b is None:
-            raise ValueError("mogulskii needs --m, --a and --b")
-        return list(check_mogulskii(seq, args.m, args.a, args.b))
-    if name == "quantile-chain":
-        if args.t is None:
-            raise ValueError("quantile-chain needs --t")
-        return [check_step_quantile_chain(seq, args.t)]
-    if name == "moment-sandwich":
-        if args.t is None or args.p is None:
-            raise ValueError("moment-sandwich needs --t and --p")
-        return [check_step_moment_sandwich(seq, args.t, _exponent(args.p))]
-    if name == "quantile-ratio":
-        if args.t is None or args.s is None:
-            raise ValueError("quantile-ratio needs --t and --s")
-        return [check_walk_quantile_ratio(seq, args.t, args.s)]
-    if name == "moment-vs-quantile":
-        return list(check_moment_vs_quantile(seq, _exponent(args.p or Fraction(1))))
-    if name == "trunc-quantile":
-        return [
-            check_truncated_quantile_shift(
-                seq, _exponent(args.p or Fraction(1)), args.eta
-            )
-        ]
-    if name == "walk-moment":
-        return [check_walk_moment_bound(seq, _exponent(args.p or Fraction(1)))]
-    if name == "spike-moment":
-        if args.r is None:
-            raise ValueError("spike-moment needs --r")
-        return [
-            check_spike_moment_bound(seq, args.r, _exponent(args.p or Fraction(1)))
-        ]
-    if name == "moment-growth":
-        if args.p is None or args.q is None:
-            raise ValueError("moment-growth needs --p and --q")
-        if args.c is None:
-            required, _ = required_moment_growth_constant(
-                seq, args.p0, _exponent(args.p), _exponent(args.q), args.eps
-            )
-            return [
-                RatioReport(
-                    "moment-growth-required",
-                    {"p0": args.p0, "p": args.p, "q": args.q, "eps": args.eps},
-                    math.inf if required is None else required,
-                    degenerate="identically zero denominators" if required is None else None,
-                )
-            ]
-        return list(
-            check_moment_growth(
-                seq, args.p0, _exponent(args.p), _exponent(args.q), args.eps,
-                args.c, args.cprime,
-            )
-        )
-    raise ValueError(f"unknown inequality {name!r}")
+    return HJParameters(tuple(sizes), tuple(thresholds), flags.get("s", Fraction(0)))
 
 
 def _exponent(value):
@@ -271,6 +221,36 @@ def _exponent(value):
     if frac.denominator == 1:
         return int(frac)
     return float(frac)
+
+
+def _p(flags: dict):
+    """The moment order --p, 1 when it is not given."""
+    return _exponent(flags.get("p", 1))
+
+
+def _growth_required(seq, params: dict, eps) -> RatioReport:
+    """The constant the first moment-growth bound needs on `seq`, at the
+    p0, p and q of `params`."""
+    required, _ = required_moment_growth_constant(
+        seq, params["p0"], _exponent(params["p"]), _exponent(params["q"]), eps
+    )
+    return RatioReport(
+        "moment-growth-required",
+        params,
+        math.inf if required is None else required,
+        degenerate="identically zero denominators" if required is None else None,
+    )
+
+
+def _moment_growth(seq, f: dict) -> list:
+    if "c" not in f:
+        params = {"p0": f["p0"], "p": f["p"], "q": f["q"], "eps": f["eps"]}
+        return [_growth_required(seq, params, f["eps"])]
+    return list(
+        check_moment_growth(
+            seq, f["p0"], _exponent(f["p"]), _exponent(f["q"]), f["eps"], f["c"], f.get("cprime")
+        )
+    )
 
 
 def _median(values):
@@ -302,278 +282,239 @@ def default_suite(seq) -> list:
     reports.append(check_walk_moment_bound(seq, 1))
     reports.append(check_walk_moment_bound(seq, 2))
     reports.append(check_spike_moment_bound(seq, Fraction(9, 10), 1))
-    required, _ = required_moment_growth_constant(seq, 1, 1, 2, math.log(16))
-    reports.append(
-        RatioReport(
-            "moment-growth-required",
-            {"p0": 1, "p": 1, "q": 2, "eps": math.log(16)},
-            math.inf if required is None else required,
-            degenerate="identically zero denominators" if required is None else None,
-        )
-    )
+    eps = math.log(16)
+    reports.append(_growth_required(seq, {"p0": 1, "p": 1, "q": 2, "eps": eps}, eps))
     return reports
+
+
+# --ineq name: (required flags, takes the Monte Carlo engine, call).  A call
+# gets the sequence and the flags, plus engine, trials and seed when the
+# Monte Carlo engine was asked for.
+CHECKERS = {
+    "all": ((), False, lambda seq, f: default_suite(seq)),
+    "hj": ((), True, lambda seq, f, **mc: [check_hj(seq, _hj_params(f), **mc)]),
+    "hj-simple": (("repeats", "t"), True,
+                  lambda seq, f, **mc: [check_hj_simple(seq, f["repeats"], f["t"], **mc)]),
+    "mogulskii": (("m", "a", "b"), False,
+                  lambda seq, f: list(check_mogulskii(seq, f["m"], f["a"], f["b"]))),
+    "quantile-chain": (("t",), False, lambda seq, f: [check_step_quantile_chain(seq, f["t"])]),
+    "moment-sandwich": (("t", "p"), False,
+                        lambda seq, f: [check_step_moment_sandwich(seq, f["t"], _p(f))]),
+    "quantile-ratio": (("t", "s"), False,
+                       lambda seq, f: [check_walk_quantile_ratio(seq, f["t"], f["s"])]),
+    "moment-vs-quantile": ((), False, lambda seq, f: list(check_moment_vs_quantile(seq, _p(f)))),
+    "trunc-quantile": ((), False,
+                       lambda seq, f: [check_truncated_quantile_shift(seq, _p(f), f.get("eta"))]),
+    "walk-moment": ((), False, lambda seq, f: [check_walk_moment_bound(seq, _p(f))]),
+    "spike-moment": (("r",), False,
+                     lambda seq, f: [check_spike_moment_bound(seq, f["r"], _p(f))]),
+    "moment-growth": (("p", "q"), False, _moment_growth),
+}
 
 
 def _first_given(*values):
     return next(v for v in values if v is not None)
 
 
-def cmd_check(args) -> int:
-    seq_config = json.loads(Path(args.sequence).read_text(encoding="utf-8"))
+def check_config(args) -> dict:
+    seq_config = _read_json(args.sequence)
     seq = sequence_from_config(seq_config)
-    defaults = sequence_engine_defaults(seq_config)
     # flags win over config-file engine preferences, which win over defaults
-    args.engine = _first_given(args.engine, defaults["engine"], "exact")
-    args.trials = _first_given(args.trials, defaults["trials"], 100_000)
-    args.seed = _first_given(args.seed, defaults["seed"], 0)
-    if args.ineq == "all":
-        if args.engine != "exact":
-            raise ValueError("--ineq all runs on the exact engine")
-        reports = default_suite(seq)
-    else:
-        reports = _run_single_check(seq, args)
-    config = {
+    engine = _first_given(args.engine, seq_config.get("engine"), "exact")
+    mc = engine == "mc"
+    return {
         "sequence": sequence_to_config(seq),
         "ineq": args.ineq,
         "grid": args.grid,
-        "engine": args.engine,
-        "trials": args.trials if args.engine == "mc" else None,
-        "seed": args.seed if args.engine == "mc" else None,
-        "flags": _flag_echo(args),
+        "engine": engine,
+        "trials": _first_given(args.trials, seq_config.get("trials"), 100_000) if mc else None,
+        "seed": _first_given(args.seed, seq_config.get("seed"), 0) if mc else None,
+        "flags": {k: getattr(args, k) for k in CHECK_FLAGS if getattr(args, k) is not None},
     }
-    if args.format == "csv":
-        _emit(reports_to_csv(reports), args.out)
-    else:
-        _emit(
-            _payload("check", config, [r.to_jsonable() for r in reports]),
-            args.out,
+
+
+def run_check(config: dict, args):
+    name = config["ineq"]
+    if name not in CHECKERS:
+        raise ValueError(f"unknown inequality {name!r}")
+    required, takes_mc, call = CHECKERS[name]
+    seq = sequence_from_config(config["sequence"])
+    flags = {key: CHECK_FLAGS[key][0](value) for key, value in config["flags"].items()}
+    if any(key not in flags for key in required):
+        raise ValueError(f"{name} needs " + " and ".join(f"--{key}" for key in required))
+    if config["engine"] == "exact":
+        reports = call(seq, flags)
+    elif takes_mc:
+        reports = call(
+            seq, flags, engine=config["engine"], trials=config["trials"], seed=config["seed"]
         )
-    failed = [
-        r
-        for r in reports
-        if isinstance(r, InequalityReport) and not r.degenerate and not r.holds
-    ]
-    return 1 if failed else 0
-
-
-_FLAG_NAMES = (
-    "k", "n1", "n2", "n3", "t1", "t2", "t3", "s", "t", "p", "q",
-    "p0", "eps", "c", "cprime", "eta", "r", "m", "a", "b", "repeats",
-)
-
-
-def _flag_echo(args) -> dict:
-    out = {}
-    for name in _FLAG_NAMES:
-        value = getattr(args, name, None)
-        if value is not None:
-            out[name] = value
-    return out
+    else:
+        raise ValueError(f"checker {name!r} supports only the exact engine")
+    failed = any(
+        isinstance(r, InequalityReport) and not r.degenerate and not r.holds for r in reports
+    )
+    return {"results": reports}, 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 
 
-def _load_corpus(args):
-    if args.corpus == "default":
+def sweep_config(args) -> dict:
+    if args.corpus != "default":
+        spec = CorpusSpec.from_config(_read_json(args.corpus)["config"])
+    elif args.count is None:
         spec = CorpusSpec(seed=args.seed)
-        if args.count is not None:
-            spec = CorpusSpec(count=args.count, seed=args.seed)
-        return spec.to_jsonable(), generate_corpus(spec)
-    blob = json.loads(Path(args.corpus).read_text(encoding="utf-8"))
-    spec = CorpusSpec.from_config(blob["config"])
-    corpus = [sequence_from_config(c) for c in blob["sequences"]]
-    return spec.to_jsonable(), corpus
-
-
-def _sweep_rows(args, corpus) -> list:
-    """One ratio report per (instance, grid point) for CSV export."""
-    rows = []
-    if args.constant == "c1":
-        for index, seq in enumerate(corpus):
-            for t in DEFAULT_T_GRID:
-                for s in DEFAULT_S_GRID:
-                    if t <= s:
-                        rep = check_walk_quantile_ratio(seq, t, s)
-                        rows.append(
-                            RatioReport(
-                                rep.name,
-                                rep.params | {"corpus_index": index},
-                                rep.ratio,
-                                degenerate=rep.degenerate,
-                            )
-                        )
-    elif args.constant == "approx-ratios":
-        for index, seq in enumerate(corpus):
-            for p in (1, 2):
-                for rep in check_moment_vs_quantile(seq, p):
-                    rows.append(
-                        RatioReport(
-                            rep.name,
-                            rep.params | {"corpus_index": index},
-                            rep.ratio,
-                            degenerate=rep.degenerate,
-                        )
-                    )
     else:
-        p0 = _exponent(args.p0)
-        for index, seq in enumerate(corpus):
-            for p, q in DEFAULT_PQ_GRID:
-                required, _ = required_moment_growth_constant(seq, p0, p, q, args.eps)
-                rows.append(
-                    RatioReport(
-                        "moment-growth-required",
-                        {"p0": args.p0, "p": p, "q": q, "corpus_index": index},
-                        math.inf if required is None else required,
-                        degenerate="identically zero denominators"
-                        if required is None
-                        else None,
-                    )
-                )
-    return rows
-
-
-def cmd_sweep(args) -> int:
-    spec_json, corpus = _load_corpus(args)
-    config = {
+        spec = CorpusSpec(count=args.count, seed=args.seed)
+    return {
         "constant": args.constant,
-        "corpus": spec_json,
+        "corpus": spec,
         "p0": args.p0,
         "eps": args.eps,
         "seed": args.seed,
     }
-    if args.format == "csv":
-        _emit(reports_to_csv(_sweep_rows(args, corpus)), args.out)
-        return 0
-    exit_code = 0
-    if args.constant == "c1":
-        estimate = estimate_quantile_ratio_constant(corpus, seed=args.seed)
-        results = estimate.to_jsonable()
-    elif args.constant == "approx-ratios":
-        results = to_jsonable(sweep_moment_vs_quantile(corpus, seed=args.seed))
-    else:
-        p0 = _exponent(args.p0)
-        estimate = estimate_moment_growth_constant(
-            corpus, p0=p0, eps=args.eps, seed=args.seed
-        )
-        multiplier = moment_growth_multiplier(p0, args.eps)
-        cprime = estimate.value * multiplier
-        violations = 0
-        checked = 0
-        for seq in corpus:
+
+
+def _indexed(rep: RatioReport, index: int) -> RatioReport:
+    return RatioReport(
+        rep.name, rep.params | {"corpus_index": index}, rep.ratio, degenerate=rep.degenerate
+    )
+
+
+def _sweep_rows(constant: str, corpus, p0: Fraction, eps: float) -> list:
+    """One ratio report per (instance, grid point) for CSV export."""
+    rows = []
+    for index, seq in enumerate(corpus):
+        if constant == "c1":
+            for t in DEFAULT_T_GRID:
+                for s in DEFAULT_S_GRID:
+                    if t <= s:
+                        rows.append(_indexed(check_walk_quantile_ratio(seq, t, s), index))
+        elif constant == "approx-ratios":
+            for p in (1, 2):
+                rows.extend(_indexed(rep, index) for rep in check_moment_vs_quantile(seq, p))
+        else:
             for p, q in DEFAULT_PQ_GRID:
-                _, second = check_moment_growth(
-                    seq, p0, p, q, args.eps, estimate.value, cprime
-                )
-                checked += 1
-                if not second.holds:
-                    violations += 1
-        results = {
-            "estimate": estimate.to_jsonable(),
-            "multiplier": multiplier,
-            "cprime": cprime,
-            "second_bound_checked": checked,
-            "second_bound_violations": violations,
-        }
-        if violations:
-            exit_code = 1
-    _emit(_payload("sweep", config, results), args.out)
-    return exit_code
+                params = {"p0": p0, "p": p, "q": q, "corpus_index": index}
+                rows.append(_growth_required(seq, params, eps))
+    return rows
+
+
+def run_sweep(config: dict, args):
+    source = getattr(args, "corpus", "default")
+    if source == "default":
+        corpus = generate_corpus(CorpusSpec.from_config(config["corpus"]))
+    else:
+        corpus = [sequence_from_config(c) for c in _read_json(source)["sequences"]]
+    constant, seed = config["constant"], config["seed"]
+    p0, eps = _rational(config["p0"]), float(config["eps"])
+    if getattr(args, "format", "json") == "csv":
+        return {"results": _sweep_rows(constant, corpus, p0, eps)}, 0
+    if constant == "c1":
+        return {"results": estimate_quantile_ratio_constant(corpus, seed=seed)}, 0
+    if constant == "approx-ratios":
+        return {"results": sweep_moment_vs_quantile(corpus, seed=seed)}, 0
+    p0 = _exponent(p0)
+    estimate = estimate_moment_growth_constant(corpus, p0=p0, eps=eps, seed=seed)
+    multiplier = moment_growth_multiplier(p0, eps)
+    cprime = estimate.value * multiplier
+    violations = 0
+    checked = 0
+    for seq in corpus:
+        for p, q in DEFAULT_PQ_GRID:
+            _, second = check_moment_growth(seq, p0, p, q, eps, estimate.value, cprime)
+            checked += 1
+            if not second.holds:
+                violations += 1
+    results = {
+        "estimate": estimate,
+        "multiplier": multiplier,
+        "cprime": cprime,
+        "second_bound_checked": checked,
+        "second_bound_violations": violations,
+    }
+    return {"results": results}, 1 if violations else 0
 
 
 # ---------------------------------------------------------------------------
 # walks and corpora
 
 
-def cmd_levy(args) -> int:
-    eps_grid = tuple(float(x) for x in args.eps_grid.split(","))
-    windows = tuple(int(x) for x in args.windows.split(","))
-    config = WalkConfig(
+def levy_config(args) -> WalkConfig:
+    return WalkConfig(
         instance=args.instance,
         schedule=args.schedule,
         horizon=args.horizon,
         paths=args.paths,
         seed=args.seed,
-        eps_grid=eps_grid,
-        windows=windows,
+        eps_grid=tuple(float(x) for x in args.eps_grid.split(",")),
+        windows=tuple(int(x) for x in args.windows.split(",")),
     )
-    result = simulate_walk(config)
-    report = equivalence_experiment(result)
-    if args.trace_csv:
-        Path(args.trace_csv).write_text(traces_to_csv(result), encoding="utf-8")
-    _emit(_payload("levy", config.to_jsonable(), report), args.out)
-    return 0
 
 
-def cmd_corpus(args) -> int:
-    spec = CorpusSpec(
+def run_levy(config: dict, args):
+    result = simulate_walk(WalkConfig.from_config(config))
+    trace_csv = getattr(args, "trace_csv", None)
+    if trace_csv:
+        Path(trace_csv).write_text(traces_to_csv(result), encoding="utf-8")
+    return {"results": equivalence_experiment(result)}, 0
+
+
+def corpus_config(args) -> CorpusSpec:
+    return CorpusSpec(
         count=args.count,
         max_len=args.max_len,
         max_support=args.max_support,
         instances=tuple(args.instances.split(",")),
         seed=args.seed,
     )
-    corpus = generate_corpus(spec)
-    payload = canonical_json(
-        {
-            "command": "corpus",
-            "config": spec.to_jsonable(),
-            "sequences": [sequence_to_config(seq) for seq in corpus],
-        }
-    )
-    _emit(payload, args.out)
-    return 0
 
 
-def cmd_replay(args) -> int:
-    blob = json.loads(Path(args.output).read_text(encoding="utf-8"))
-    command = blob.get("command")
-    config = blob.get("config", {})
-    if command == "axioms":
-        argv = ["axioms", config["instance"], "--seed", str(config["seed"])]
-        if config.get("samples") is not None:
-            argv += ["--samples", str(config["samples"])]
-        else:
-            argv += ["--exhaustive"]
-        if config.get("tol") is not None:
-            argv += ["--tol", repr(config["tol"])]
-    elif command == "levy":
-        argv = [
-            "levy",
-            "--instance", config["instance"],
-            "--schedule", config["schedule"],
-            "--paths", str(config["paths"]),
-            "--horizon", str(config["horizon"]),
-            "--seed", str(config["seed"]),
-            "--eps-grid", ",".join(repr(e) for e in config["eps_grid"]),
-            "--windows", ",".join(str(w) for w in config["windows"]),
-        ]
-    elif command == "corpus":
-        argv = [
-            "corpus",
-            "--count", str(config["count"]),
-            "--max-len", str(config["max_len"]),
-            "--max-support", str(config["max_support"]),
-            "--instances", ",".join(config["instances"]),
-            "--seed", str(config["seed"]),
-        ]
-    else:
-        raise ValueError(f"replay does not support command {command!r}")
-    if args.out:
-        argv += ["--out", args.out]
-    return main(argv)
+def run_corpus(config: dict, args):
+    corpus = generate_corpus(CorpusSpec.from_config(config))
+    return {"sequences": [sequence_to_config(seq) for seq in corpus]}, 0
+
+
+# name: (config_from_args, run)
+COMMANDS = {
+    "axioms": (axioms_config, run_axioms),
+    "check": (check_config, run_check),
+    "sweep": (sweep_config, run_sweep),
+    "levy": (levy_config, run_levy),
+    "corpus": (corpus_config, run_corpus),
+}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "replay":
+            blob = _read_json(args.output)
+            command = blob.get("command")
+            if command not in COMMANDS:
+                raise ValueError(f"replay does not support command {command!r}")
+            config = blob["config"]
+        else:
+            command = args.command
+            config = to_jsonable(COMMANDS[command][0](args))
+        fields, code = COMMANDS[command][1](config, args)
+        if getattr(args, "format", "json") == "csv":
+            _emit(reports_to_csv(fields["results"]), args.out)
+        else:
+            _emit(canonical_json({"command": command, "config": config, **fields}), args.out)
+        return code
     except EnumerationCapError as exc:
         print(f"error: resource limit: {exc}", file=sys.stderr)
         return 3
-    except (InstanceSpecError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (
+        InstanceSpecError,
+        ValueError,
+        KeyError,
+        OSError,
+        json.JSONDecodeError,
+        argparse.ArgumentTypeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

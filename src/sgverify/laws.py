@@ -42,6 +42,10 @@ def is_rational(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+# Largest mass error allowed when float probabilities should sum to one.
+MASS_TOL = 1e-12
+
+
 class EnumerationCapError(ValueError):
     """An exact law needs more states (or outcomes) than the cap allows."""
 
@@ -55,7 +59,7 @@ class DiscreteDistribution:
     """Finitely supported law on a carrier: ((element, probability), ...).
 
     Probabilities are Fractions (exact mode) or floats; they must be positive
-    and sum to one (exactly when rational, else within 1e-12).
+    and sum to one (exactly when rational, else within `MASS_TOL`).
     """
 
     atoms: tuple
@@ -85,7 +89,7 @@ class DiscreteDistribution:
         if all(is_rational(p) for _, p in atoms):
             if total != 1:
                 raise ValueError(f"probabilities sum to {total}, not 1")
-        elif abs(total - 1) > 1e-12:
+        elif abs(total - 1) > MASS_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
         return DiscreteDistribution(atoms)
 
@@ -172,7 +176,7 @@ class ScalarLaw:
         if all(is_rational(p) for p in probs):
             if total != 1:
                 raise ValueError(f"law mass is {total}, not 1")
-        elif abs(total - 1) > 1e-9:
+        elif abs(total - 1) > MASS_TOL:
             raise ValueError(f"law mass is {total}, not 1")
         return ScalarLaw(values, probs, kind=kind, trials=trials, seed=seed)
 
@@ -242,9 +246,6 @@ class ScalarLaw:
             trials=self.trials,
             seed=self.seed,
         )
-
-    def quantile_grid(self) -> tuple:
-        return self.values
 
     def to_jsonable(self) -> dict:
         def num(x):
@@ -597,7 +598,7 @@ def mc_tail_agreement(
     exact = exact_functional_law(seq, statistic)
     empirical = monte_carlo_law(seq, statistic, trials=trials, seed=seed)
     records = []
-    for x in exact.quantile_grid():
+    for x in exact.values:
         p = exact.tail(x)
         p_hat = empirical.tail(x)
         se = math.sqrt(float(p) * (1.0 - float(p)) / trials)
@@ -659,20 +660,11 @@ def sequence_to_config(seq: IndependentSequence) -> dict:
     }
 
 
-def sequence_engine_defaults(config: dict) -> dict:
-    """Optional engine preferences carried by a sequence config file."""
-    return {
-        "engine": config.get("engine"),
-        "trials": config.get("trials"),
-        "seed": config.get("seed"),
-    }
-
-
 def sequence_from_config(config: dict) -> IndependentSequence:
     """Inverse of `sequence_to_config`; rejects unknown keys.
 
     Engine preferences (engine/trials/seed) may ride along in the same file;
-    they do not affect the sequence itself (see `sequence_engine_defaults`).
+    they do not affect the sequence itself.
     """
     allowed = {"instance", "variables", "z0", "z1", "label", "engine", "trials", "seed"}
     unknown = set(config) - allowed

@@ -171,6 +171,15 @@ def test_check_remaining_subcommands(seq_file, tmp_path):
         assert read_json(out)["results"], extra
 
 
+@pytest.mark.parametrize(
+    "name", ["walk-moment", "moment-vs-quantile", "trunc-quantile", "spike-moment"]
+)
+def test_check_zero_moment_order_is_usage_error(seq_file, name, capsys):
+    extra = ["--r", "9/10"] if name == "spike-moment" else []
+    assert run(["check", seq_file, "--ineq", name, "--p", "0", *extra]) == 2
+    assert "moment order must be positive" in capsys.readouterr().err
+
+
 def test_check_zero_trials_is_usage_error(tmp_path, capsys):
     path = tmp_path / "seq.json"
     path.write_text(json.dumps(dict(RADEMACHER2, engine="mc", trials=0)))
@@ -310,17 +319,32 @@ def test_levy_trace_export_simulates_once(tmp_path, monkeypatch):
     )
 
 
-def test_replay_reproduces_outputs_byte_for_byte(tmp_path):
-    for argv, name in (
-        (["axioms", "cyclic:6", "--exhaustive"], "ax.json"),
-        (["corpus", "--count", "8", "--seed", "2"], "corpus.json"),
-        (["levy", "--paths", "10", "--horizon", "30", "--windows", "5,10"], "levy.json"),
-    ):
-        first = tmp_path / name
-        again = tmp_path / ("replay-" + name)
-        assert run(argv + ["--out", str(first)]) in (0, 1)
-        assert run(["replay", str(first), "--out", str(again)]) in (0, 1)
-        assert first.read_bytes() == again.read_bytes()
+def test_replay_reproduces_outputs_byte_for_byte(seq_file, tmp_path):
+    mc_file = tmp_path / "seq-mc.json"
+    mc_file.write_text(json.dumps(dict(RADEMACHER2, engine="mc", trials=3000, seed=7)))
+    corpus_file = tmp_path / "corpus-in.json"
+    assert run(["corpus", "--count", "6", "--seed", "3", "--out", str(corpus_file)]) == 0
+    cases = [
+        ["axioms", "cyclic:6", "--exhaustive"],
+        ["corpus", "--count", "8", "--seed", "2"],
+        ["levy", "--paths", "10", "--horizon", "30", "--windows", "5,10"],
+        ["check", seq_file, "--ineq", "all"],
+        ["check", seq_file, "--ineq", "hj", "--n1", "2", "--t1", "1/2", "--s", "3/2"],
+        ["check", str(mc_file), "--ineq", "hj-simple", "--repeats", "1", "--t", "1"],
+        ["check", seq_file, "--ineq", "moment-growth", "--p", "1", "--q", "2", "--c", "2.0"],
+        ["check", seq_file, "--ineq", "mogulskii", "--m", "1", "--a", "1", "--b", "1"],
+        ["sweep", "--constant", "c", "--count", "8"],
+        ["sweep", "--constant", "c1", "--corpus", str(corpus_file)],
+        ["sweep", "--constant", "approx-ratios", "--corpus", str(corpus_file)],
+    ]
+    for index, argv in enumerate(cases):
+        first = tmp_path / f"out-{index}.json"
+        again = tmp_path / f"replay-{index}.json"
+        code = run(argv + ["--out", str(first)])
+        assert code in (0, 1), argv
+        assert run(["replay", str(first), "--out", str(again)]) == code, argv
+        assert first.read_bytes() == again.read_bytes(), argv
+    assert read_json(tmp_path / "out-5.json")["results"][0]["engine"]["kind"] == "mc"
 
 
 def test_usage_error_exit_two(capsys):

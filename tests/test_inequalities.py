@@ -3,6 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_push_forward import EXACT_SPECS
 
 from sgverify import (
     DiscreteDistribution,
@@ -27,7 +30,9 @@ from sgverify import (
     required_moment_growth_constant,
     tight_block_set,
 )
-from sgverify.corpus import CorpusSpec, generate_corpus, random_hj_parameters
+from sgverify.cli import default_suite
+from sgverify.corpus import CorpusSpec, generate_corpus, generate_sequence, random_hj_parameters
+from sgverify.reports import FLOAT_SLACK_TOL, InequalityReport, is_rational_number
 
 F = Fraction
 
@@ -441,3 +446,26 @@ def test_reports_invariant_under_common_translation():
         ra = check_walk_quantile_ratio(seq, F(1, 10), F(1, 2))
         rb = check_walk_quantile_ratio(moved, F(1, 10), F(1, 2))
         assert ra.ratio == rb.ratio
+
+
+# -- slack on random sequences ----------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    spec=st.sampled_from([s for s in EXACT_SPECS if not s.startswith("broken:")]),
+    seed=st.integers(0, 2**32),
+    max_len=st.integers(1, 6),
+    max_support=st.integers(1, 3),
+)
+def test_default_suite_slack_is_nonnegative_on_random_sequences(
+    spec, seed, max_len, max_support
+):
+    seq = generate_sequence(parse_instance(spec), random.Random(seed), max_len, max_support, "")
+    for rep in default_suite(seq):
+        if not isinstance(rep, InequalityReport) or rep.degenerate:
+            continue
+        if is_rational_number(rep.slack):
+            assert rep.slack >= 0, rep.to_jsonable()
+        else:
+            assert rep.slack >= -FLOAT_SLACK_TOL, rep.to_jsonable()

@@ -207,3 +207,25 @@ def test_monte_carlo_laws_match_recorded_digests():
             seqs[name], statistic, trials=trials, seed=seed, chunk_size=chunk
         )
         assert law_digest(law) == digest, (name, statistic, seed, trials, chunk)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(EXACT_SPECS),
+    seed=st.integers(0, 2**32),
+    trials=st.integers(1, 400),
+    statistic=st.sampled_from(("walk_peak", "end_distance", "step_peak")),
+    data=st.data(),
+)
+def test_monte_carlo_law_does_not_depend_on_chunk_size(spec, seed, trials, statistic, data):
+    rng = random.Random(seed)
+    torus = TorusGroup(1)
+    seqs = (
+        generate_sequence(parse_instance(spec), rng, 5, 3, "random"),
+        IndependentSequence.build(torus, [UniformBoxSampler(torus, 0.5)] * rng.randint(1, 6)),
+    )
+    chunk = data.draw(st.integers(1, trials), label="chunk_size")
+    for seq in seqs:
+        reference = monte_carlo_law(seq, statistic, trials=trials, seed=seed, chunk_size=8192)
+        law = monte_carlo_law(seq, statistic, trials=trials, seed=seed, chunk_size=chunk)
+        assert law == reference
