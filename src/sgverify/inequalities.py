@@ -626,6 +626,11 @@ def moment_growth_multiplier(p0, eps) -> float:
 def _validate_growth_params(p0, p, q, eps, second: bool):
     if p0 <= 0:
         raise ValueError("threshold p0 must be positive")
+    # A non-integer order may come as a float; compare all three as floats
+    # then, so that p = float(1/3) and p0 = Fraction(1, 3) count as equal.
+    orders = (q, p, p0)
+    if any(isinstance(x, float) for x in orders):
+        q, p, p0 = map(float, orders)
     if not q >= p >= p0:
         raise ValueError("need q >= p >= p0")
     if not -q < eps <= math.log(16):

@@ -8,7 +8,9 @@ equal states:
   downstream inequality checks certify at zero tolerance;
 * seeded Monte Carlo keeps one state id per trial, where trial t's
   randomness is a pure function of (seed, t), making results independent
-  of execution order and chunking.
+  of execution order and chunking.  Runs of columns with the same
+  elements share a table from (state, atom) to the next state, so an iid
+  walk steps each transition once per chunk rather than once per column.
 
 The statistics of a path x_1..x_n with basepoints z0, z1 are the partial
 products s_j = x_1...x_j, the running peak distance max_{i<=j} d(z1, z0*s_i),
@@ -532,21 +534,38 @@ def monte_carlo_law(
     exact carriers the sampled functional values stay exact (Fraction/int)
     and the empirical measure is represented as counts/trials.
 
-    Each chunk keeps one state id per trial.  A discrete column steps once
-    per distinct (state, atom) pair; a sampler column steps once per trial.
+    Each chunk keeps one state id per trial.  A sampler column steps once
+    per trial.  A discrete column steps once per distinct (state, atom)
+    pair, and a run of consecutive discrete columns whose atoms have the
+    same elements (an epoch; every column of an iid walk) shares one
+    transition table next[state * k + atom], so each pair is stepped once
+    per epoch.  An epoch ends at a column with other elements (compared by
+    value and by repr, so 1 and Fraction(1) differ), at a sampler column,
+    and at a column reached with more states x atoms than twice the trials
+    of the chunk; the next column starts a fresh table, so a table never
+    holds more than 2 * chunk_size entries.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     start, step, value = _statistic(seq, statistic)
-    cums = []
+    # (variable, cumulative probabilities, elements, same elements as the
+    # column before); samplers have no cumulative probabilities.
+    columns = []
+    previous = None
     for var in seq.variables:
         if _variable_is_discrete(var):
             cum = np.cumsum([float(p) for _, p in var.atoms])
             cum[-1] = 1.0
-            cums.append(cum)
+            elements = [e for e, _ in var.atoms]
+            same = elements == previous and repr(elements) == repr(previous)
+            columns.append((var, cum, elements, same))
+            previous = elements
         else:
-            cums.append(None)
-    width = sum(var.width if cum is None else 1 for var, cum in zip(seq.variables, cums))
+            columns.append((var, None, None, False))
+            previous = None
+    width = sum(var.width if cum is None else 1 for var, cum, _, _ in columns)
     counts: dict = {}
     done = 0
     while done < trials:
@@ -555,7 +574,7 @@ def monte_carlo_law(
         states = [start]
         ids = np.zeros(batch, dtype=np.intp)
         col = 0
-        for var, cum in zip(seq.variables, cums):
+        for var, cum, elements, same in columns:
             if cum is None:
                 w = var.width
                 states = [
@@ -565,20 +584,33 @@ def monte_carlo_law(
                 ids = np.arange(batch)
                 col += w
                 continue
-            k = len(var.atoms)
-            atom = np.searchsorted(cum, u[:, col], side="right")
-            pairs, inverse = np.unique(ids * k + atom, return_inverse=True)
-            merged: dict = {}
-            new_ids = [
-                merged.setdefault(step(states[p // k], var.atoms[p % k][0]), len(merged))
-                for p in pairs.tolist()
-            ]
-            states = list(merged)
-            ids = np.asarray(new_ids, dtype=np.intp)[inverse]
+            k = len(elements)
+            codes = ids * k + np.searchsorted(cum, u[:, col], side="right")
             col += 1
+            if same and len(states) * k <= 2 * batch:
+                # Rows for the states added since the last column.
+                fresh = np.full(len(states) * k - len(table), -1, dtype=np.intp)
+                table = np.concatenate([table, fresh])
+                missing = np.unique(codes[table[codes] < 0])
+                table[missing] = [
+                    interned.setdefault(step(states[p // k], elements[p % k]), len(interned))
+                    for p in missing.tolist()
+                ]
+                ids = table[codes]
+            else:
+                pairs, inverse = np.unique(codes, return_inverse=True)
+                interned = {}
+                new_ids = [
+                    interned.setdefault(step(states[p // k], elements[p % k]), len(interned))
+                    for p in pairs.tolist()
+                ]
+                ids = np.asarray(new_ids, dtype=np.intp)[inverse]
+                table = np.empty(0, dtype=np.intp)
+            states = list(interned)
         for state, c in zip(states, np.bincount(ids, minlength=len(states)).tolist()):
-            v = value(state)
-            counts[v] = counts.get(v, 0) + c
+            if c:
+                v = value(state)
+                counts[v] = counts.get(v, 0) + c
         done += batch
     return ScalarLaw.from_counts(counts, trials, seed)
 

@@ -180,6 +180,16 @@ def test_check_zero_moment_order_is_usage_error(seq_file, name, capsys):
     assert "moment order must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("with_c", [[], ["--c", "2.0"]])
+def test_check_moment_growth_compares_fractional_orders(seq_file, tmp_path, capsys, with_c):
+    out = tmp_path / "rep.json"
+    growth = ["check", seq_file, "--ineq", "moment-growth", "--q", "1", *with_c]
+    assert run([*growth, "--p", "1/3", "--p0", "1/3", "--out", str(out)]) == 0
+    assert read_json(out)["results"]
+    assert run([*growth, "--p", "1/2", "--p0", "3/4"]) == 2
+    assert "need q >= p >= p0" in capsys.readouterr().err
+
+
 def test_check_zero_trials_is_usage_error(tmp_path, capsys):
     path = tmp_path / "seq.json"
     path.write_text(json.dumps(dict(RADEMACHER2, engine="mc", trials=0)))

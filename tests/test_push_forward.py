@@ -3,7 +3,7 @@
 The exact engine is compared with `enumerate_outcomes`, a product over the
 joint support, on the full default corpus and on random small sequences;
 the Monte Carlo engine is compared with digests of the laws produced by the
-per-trial loop it replaced, which must not move for an existing seed.
+engines it replaced, which must not move for an existing seed.
 """
 
 import hashlib
@@ -11,6 +11,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from sgverify import (
     DiscreteDistribution,
     IndependentSequence,
     IntegerAdditive,
+    PositiveRationalsAdditive,
     TorusGroup,
     check_mogulskii,
     enumerate_outcomes,
@@ -130,9 +132,9 @@ def test_exact_engine_matches_enumeration_on_random_sequences(
     assert_matches_oracle(seq, m, a, b)
 
 
-def pm1_walk(n):
-    var = DiscreteDistribution.of([(1, F(1, 2)), (-1, F(1, 2))])
-    return IndependentSequence.build(IntegerAdditive(), [var] * n)
+def pm1_walk(n, up=F(1, 2), inst=None):
+    var = DiscreteDistribution.of([(1, up), (-1, 1 - up)])
+    return IndependentSequence.build(inst or IntegerAdditive(), [var] * n)
 
 
 def test_exact_law_beyond_the_outcome_cap_agrees_with_monte_carlo():
@@ -165,6 +167,18 @@ def golden_sequences():
             {"atoms": [["1", "1/4"], ["2", "3/4"]]},
         ],
     }
+    # Columns alternate between two element tuples; "A" and "C" have the
+    # same elements with other probabilities.
+    alt = {
+        "A": DiscreteDistribution.of([(1, F(1, 2)), (-1, F(1, 2))]),
+        "B": DiscreteDistribution.of([(2, F(1, 3)), (-1, F(2, 3))]),
+        "C": DiscreteDistribution.of([(1, F(1, 5)), (-1, F(4, 5))]),
+    }
+    # Equal values of different types: int steps and Fraction steps.
+    types = {
+        "I": DiscreteDistribution.of([(1, F(1, 2)), (2, F(1, 2))]),
+        "F": DiscreteDistribution.of([(F(1), F(1, 2)), (F(2), F(1, 2))]),
+    }
     return {
         "corpus6-3": corpus[3],
         "corpus6-4": corpus[4],
@@ -175,11 +189,24 @@ def golden_sequences():
         ),
         "torus2-mixed": IndependentSequence.build(torus2, mixed),
         "pm1-200": pm1_walk(200),
+        "pm1-60-skew": pm1_walk(60, F(3, 10)),
+        "int-alternating": IndependentSequence.build(
+            IntegerAdditive(), [alt[c] for c in "ACBACABBAB" * 3]
+        ),
+        # Float states that rarely repeat: the table outgrows its cap and
+        # starts afresh.
+        "torus-drift": IndependentSequence.build(
+            torus, [DiscreteDistribution.uniform([(0.1234567,), (0.7654321,)])] * 40
+        ),
+        "posreal-types": IndependentSequence.build(
+            PositiveRationalsAdditive(), [types[c] for c in "IIIIIIIIIF"]
+        ),
     }
 
 
-# (sequence, statistic, seed, trials, chunk size, digest of the law recorded
-# with the per-trial loop)
+# (sequence, statistic, seed, trials, chunk size, digest of the law).  The
+# rows up to pm1-200 were recorded with the per-trial loop, the rest with the
+# per-column push-forward that predates the shared transition table.
 GOLDEN_MC = (
     ("corpus6-3", "walk_peak", 11, 3000, 777, "9003843eef46f917"),
     ("corpus6-4", "end_distance", 11, 3000, 8192, "a11b72dfeb43c4a3"),
@@ -192,7 +219,38 @@ GOLDEN_MC = (
     ("torus2-mixed", "walk_peak", 11, 3000, 8192, "dd101546b04b7671"),
     ("pm1-200", "walk_peak", 11, 3000, 777, "ef2e2a05d26618a9"),
     ("pm1-200", "walk_peak", 12, 10_000, 8192, "1717a3ada9f249ff"),
+    ("pm1-60-skew", "end_distance", 13, 3000, 777, "87ef4d2d63d00f2a"),
+    ("int-alternating", "walk_peak", 13, 3000, 777, "da72dc3fe4310e45"),
+    ("int-alternating", "end_distance", 13, 3000, 8192, "f69f9bea3c2a05d6"),
+    ("torus-drift", "end_distance", 13, 3000, 777, "30d7eb865c0af418"),
+    ("torus-drift", "walk_peak", 13, 3000, 8192, "0f60ae147dec61a3"),
+    ("posreal-types", "walk_peak", 13, 3000, 777, "e5ae6cde6b553219"),
+    ("posreal-types", "step_peak", 13, 3000, 8192, "3f10976e5619634f"),
 )
+
+
+class CountingIntegers(IntegerAdditive):
+    def __init__(self):
+        super().__init__()
+        self.compose_calls = 0
+
+    def compose(self, a, b):
+        self.compose_calls += 1
+        return a + b
+
+
+def test_monte_carlo_steps_each_transition_once_per_epoch():
+    # 200 iid columns reach only a few thousand (state, atom) pairs; stepping
+    # once per pair and column makes about 19 compose calls per trial.
+    inst = CountingIntegers()
+    monte_carlo_law(pm1_walk(200, inst=inst), "walk_peak", trials=10_000, seed=12)
+    assert inst.compose_calls < 10_000
+
+
+@pytest.mark.parametrize("chunk_size", [0, -1])
+def test_monte_carlo_law_rejects_chunk_size_below_one(chunk_size):
+    with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+        monte_carlo_law(pm1_walk(3), trials=10, chunk_size=chunk_size)
 
 
 def law_digest(law):
@@ -220,9 +278,17 @@ def test_monte_carlo_laws_match_recorded_digests():
 def test_monte_carlo_law_does_not_depend_on_chunk_size(spec, seed, trials, statistic, data):
     rng = random.Random(seed)
     torus = TorusGroup(1)
+    columns = (
+        UniformBoxSampler(torus, 0.5),
+        DiscreteDistribution.uniform([torus.random_element(rng) for _ in range(2)]),
+        DiscreteDistribution.uniform([torus.random_element(rng) for _ in range(3)]),
+    )
     seqs = (
         generate_sequence(parse_instance(spec), rng, 5, 3, "random"),
-        IndependentSequence.build(torus, [UniformBoxSampler(torus, 0.5)] * rng.randint(1, 6)),
+        IndependentSequence.build(torus, [columns[0]] * rng.randint(1, 6)),
+        IndependentSequence.build(
+            torus, [rng.choice(columns) for _ in range(rng.randint(1, 8))]
+        ),
     )
     chunk = data.draw(st.integers(1, trials), label="chunk_size")
     for seq in seqs:
