@@ -63,6 +63,16 @@ def _rational(text) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _finite(text) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 # `check` flags: name -> (type, default, help).  The table adds them to the
 # parser, echoes the given ones into the output config, and parses them back
 # from that config.
@@ -79,10 +89,10 @@ CHECK_FLAGS = {
     "p": (_rational, None, None),
     "q": (_rational, None, None),
     "p0": (_rational, Fraction(1), None),
-    "eps": (float, math.log(16), None),
-    "c": (float, None, None),
-    "cprime": (float, None, None),
-    "eta": (float, None, None),
+    "eps": (_finite, math.log(16), None),
+    "c": (_finite, None, None),
+    "cprime": (_finite, None, None),
+    "eta": (_finite, None, None),
     "r": (_rational, None, None),
     "m": (int, None, None),
     "a": (_rational, None, None),
@@ -128,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--count", type=int, default=None, help="override corpus size")
     sw.add_argument("--seed", type=int, default=1)
     sw.add_argument("--p0", type=_rational, default=Fraction(1))
-    sw.add_argument("--eps", type=float, default=math.log(16))
+    sw.add_argument("--eps", type=_finite, default=math.log(16))
     sw.add_argument("--out", default=None)
     sw.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -401,12 +411,31 @@ def _sweep_rows(constant: str, corpus, p0: Fraction, eps: float) -> list:
     return rows
 
 
+class _ReleasingCorpus:
+    """The corpus, each sequence releasing its derived laws once a loop
+    moves past it.  A sweep then holds only the laws the sequences cache as
+    properties, not the frames, tails, capped laws and moments of every
+    item at once."""
+
+    def __init__(self, seqs: list):
+        self.seqs = seqs
+
+    def __len__(self) -> int:
+        return len(self.seqs)
+
+    def __iter__(self):
+        for seq in self.seqs:
+            yield seq
+            seq.release_derived()
+
+
 def run_sweep(config: dict, args):
     source = getattr(args, "corpus", "default")
     if source == "default":
-        corpus = generate_corpus(CorpusSpec.from_config(config["corpus"]))
+        seqs = generate_corpus(CorpusSpec.from_config(config["corpus"]))
     else:
-        corpus = [sequence_from_config(c) for c in _read_json(source)["sequences"]]
+        seqs = [sequence_from_config(c) for c in _read_json(source)["sequences"]]
+    corpus = _ReleasingCorpus(seqs)
     constant, seed = config["constant"], config["seed"]
     p0, eps = _rational(config["p0"]), float(config["eps"])
     if getattr(args, "format", "json") == "csv":

@@ -13,6 +13,7 @@ report carries a note.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,11 +24,13 @@ from .laws import (
     IndependentSequence,
     ScalarLaw,
     _advance,
+    _exact_weights,
     _product,
     monte_carlo_law,
     sequence_to_config,
 )
 from .rearrange import (
+    aggregate_tail,
     excess_tail_moment,
     pow_value,
     rearrangement_at,
@@ -170,27 +173,58 @@ def _chain_report(name, params, links, engine=None, note=None, tol=None):
     )
 
 
+# Largest integer order at which a bound takes exact powers v^p (of a law
+# with rational values), whose size grows without limit in p: v^(10^400)
+# never returns.  The walk-moment bound keeps every order below it, since
+# its scale 2^(1+2p) leaves the float range above p = 511.5.
+MAX_EXACT_ORDER = 500
+
+
+def _check_order(p, name="moment order", exact_powers=True):
+    """Reject an order the bound cannot be evaluated at: one that is not
+    positive or lies beyond the float range, and, where the bound takes
+    exact powers v^p, an integer above MAX_EXACT_ORDER."""
+    if p <= 0:
+        raise ValueError(f"{name} must be positive")
+    if p > sys.float_info.max:
+        raise ValueError(f"{name} lies beyond the float range")
+    if exact_powers and isinstance(p, int) and p > MAX_EXACT_ORDER:
+        raise ValueError(
+            f"{name} is an integer above {MAX_EXACT_ORDER}, "
+            "where exact powers v^p are not evaluated"
+        )
+
+
 def _identity_frame(seq: IndependentSequence):
     """The sequence viewed from the identity (truncation frame).
 
     Completes the instance when it has no identity and resets both
-    basepoints to the identity; returns (sequence, note or None).
+    basepoints to the identity; returns (sequence, note or None).  A
+    rebuilt frame is built once per sequence, so its laws are too.
     """
     inst = seq.instance
     if inst.has_identity:
         e = inst.identity
         if seq.z0 == e and seq.z1 == e:
             return seq, None
-        return seq.with_basepoints(e, e), "basepoints reset to the identity"
-    completed = adjoin_identity(inst)
-    rebased = IndependentSequence.build(
-        completed,
-        seq.variables,
-        z0=completed.identity,
-        z1=completed.identity,
-        label=seq.label,
-    )
-    return rebased, f"instance completed to {completed.name}"
+
+        def rebuild():
+            return seq.with_basepoints(e, e), "basepoints reset to the identity"
+
+    else:
+
+        def rebuild():
+            completed = adjoin_identity(inst)
+            rebased = IndependentSequence.build(
+                completed,
+                seq.variables,
+                z0=completed.identity,
+                z1=completed.identity,
+                label=seq.label,
+            )
+            return rebased, f"instance completed to {completed.name}"
+
+    return seq.derived("identity_frame", rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +362,8 @@ def check_mogulskii(seq: IndependentSequence, m: int, a, b):
 
     Returns the pair of reports, computed exactly.  A forward pass carries
     (s_j, window min <= a seen, window max >= a seen); at each window index
-    k a second pass carries (s_k, s_j) from the law of s_k to j = n.
+    k a second pass carries (s_k, s_j) from the law of s_k to j = n.  Both
+    passes carry the weights of the exact engine (`_exact_weights`).
     """
     n = seq.n
     if not 1 <= m <= n:
@@ -356,23 +391,26 @@ def check_mogulskii(seq: IndependentSequence, m: int, a, b):
         return state[0], product(state[1], x)
 
     cap = DEFAULT_ENUMERATION_CAP
-    states = {(None, False, False): Fraction(1)}
+    one, columns, prob = _exact_weights(seq.variables)
+    states = {(None, False, False): one}
     stay = []
-    for k, var in enumerate(seq.variables, 1):
-        states = _advance(states, var, in_window if k >= m else before_window, k, cap)
+    for k, atoms in enumerate(columns, 1):
+        states = _advance(states, atoms, in_window if k >= m else before_window, k, cap)
         if k < m:
             continue
         pairs: dict = {}
         for (s, _, _), w in states.items():
             pairs[s, s] = pairs.get((s, s), 0) + w
         for j in range(k, n):
-            pairs = _advance(pairs, seq.variables[j], pair_step, j + 1, cap)
-        stay.append(sum(w for (s_k, s_n), w in pairs.items() if inst.distance(s_k, s_n) <= b))
+            pairs = _advance(pairs, columns[j], pair_step, j + 1, cap)
+        stay.append(
+            prob(sum(w for (s_k, s_n), w in pairs.items() if inst.distance(s_k, s_n) <= b))
+        )
     ends = [(shifted(s), low, high, w) for (s, low, high), w in states.items()]
-    p_min_le = sum(w for _, low, _, w in ends if low)
-    p_max_ge = sum(w for _, _, high, w in ends if high)
-    p_end_le = sum(w for end, _, _, w in ends if end <= a + b)
-    p_end_ge = sum(w for end, _, _, w in ends if end >= a - b)
+    p_min_le = prob(sum(w for _, low, _, w in ends if low))
+    p_max_ge = prob(sum(w for _, _, high, w in ends if high))
+    p_end_le = prob(sum(w for end, _, _, w in ends if end <= a + b))
+    p_end_ge = prob(sum(w for end, _, _, w in ends if end >= a - b))
     min_stay = min(stay)
     params = {"m": m, "a": a, "b": b}
     first = make_report(
@@ -401,7 +439,7 @@ def check_step_quantile_chain(seq: IndependentSequence, t) -> InequalityReport:
     rearrangement: agg(2t) <= agg(t/(1-t)) <= peak*(t) <= agg(t), t in (0,1)."""
     if not 0 < t < 1:
         raise ValueError("t must lie in (0, 1)")
-    mags = seq.magnitude_laws
+    mags = aggregate_tail(seq)
     links = [
         ("agg_quantile_2t", tail_sum_inverse(mags, 2 * t)),
         ("agg_quantile_shifted", tail_sum_inverse(mags, t / (1 - t))),
@@ -416,9 +454,8 @@ def check_step_moment_sandwich(seq: IndependentSequence, t, p) -> InequalityRepo
     excess tail moment R: (t*L^p + R)/(1+t) <= E[peak^p] <= L^p + R."""
     if t <= 0:
         raise ValueError("t must be positive")
-    if p <= 0:
-        raise ValueError("moment order must be positive")
-    mags = seq.magnitude_laws
+    _check_order(p)
+    mags = aggregate_tail(seq)
     cut = tail_sum_inverse(mags, t)
     extra = excess_tail_moment(mags, t, p)
     cut_p = pow_value(cut, p)
@@ -475,11 +512,27 @@ def check_walk_quantile_ratio(seq: IndependentSequence, t, s) -> RatioReport:
 # truncation-based comparisons (identity frame)
 
 
-def _capped_walk_law(frame_seq: IndependentSequence, cut) -> ScalarLaw:
-    """Walk-peak law after replacing large steps by the identity."""
-    inst = frame_seq.instance
-    capped = [truncate(var, cut, inst) for var in frame_seq.variables]
-    return frame_seq.with_variables(capped).walk_peak_law
+def _capped_walk_law(frame: IndependentSequence, transform, cut) -> ScalarLaw:
+    """Walk-peak law of the identity frame after `transform` replaces steps
+    by the identity: `truncate` those of magnitude > cut, `truncate_upper`
+    those of magnitude <= cut.
+
+    Built once per sequence and (transform, cut).  A truncation that
+    replaces no step leaves the sequence as it is, and so the frame's own law.
+    """
+
+    def build():
+        inst = frame.instance
+        e = inst.identity
+        # `truncate` replaces exactly the atoms with distance(e, x) > cut
+        if transform is truncate and all(
+            inst.distance(e, x) <= cut for var in frame.variables for x, _ in var.atoms
+        ):
+            return frame.walk_peak_law
+        capped = [transform(var, cut, inst) for var in frame.variables]
+        return frame.with_variables(capped).walk_peak_law
+
+    return frame.derived((transform, cut), build)
 
 
 def check_moment_vs_quantile(seq: IndependentSequence, p):
@@ -489,10 +542,9 @@ def check_moment_vs_quantile(seq: IndependentSequence, p):
     Returns (plain ratio report, truncated ratio report); ratios are
     recorded for corpus aggregation, not asserted.
     """
-    if p <= 0:
-        raise ValueError("moment order must be positive")
+    _check_order(p)
     frame, note = _identity_frame(seq)
-    mags = frame.magnitude_laws
+    mags = aggregate_tail(frame)
     walk = frame.walk_peak_law
     agg_root = tail_sum_inverse_law(mags).moment_root(p)
     walk_root = walk.moment_root(p)
@@ -520,7 +572,7 @@ def check_moment_vs_quantile(seq: IndependentSequence, p):
 
     plain = ratio_report("moment-vs-quantile", rearrangement_at(walk, quarter), {})
     cut = tail_sum_inverse(mags, eighth)
-    capped_quantile = rearrangement_at(_capped_walk_law(frame, cut), quarter)
+    capped_quantile = rearrangement_at(_capped_walk_law(frame, truncate, cut), quarter)
     truncated = ratio_report(
         "moment-vs-quantile-truncated", capped_quantile, {"cutoff": cut}
     )
@@ -532,17 +584,15 @@ def check_truncated_quantile_shift(
 ) -> InequalityReport:
     """Removing steps above the aggregate quantile at r = e^-p/8 shifts walk
     quantiles by at most r:  capped_peak*(eta) <= peak*(eta - r), eta >= r."""
-    if p <= 0:
-        raise ValueError("moment order must be positive")
+    _check_order(p, exact_powers=False)
     r = math.exp(-float(p)) / 8
     if eta is None:
         eta = math.exp(-float(p)) / 4
     if not r <= eta <= 1:
         raise ValueError(f"eta must lie in [{r}, 1]")
     frame, note = _identity_frame(seq)
-    mags = frame.magnitude_laws
-    cut = tail_sum_inverse(mags, r)
-    lhs = rearrangement_at(_capped_walk_law(frame, cut), eta)
+    cut = tail_sum_inverse(aggregate_tail(frame), r)
+    lhs = rearrangement_at(_capped_walk_law(frame, truncate, cut), eta)
     rhs = rearrangement_at(frame.walk_peak_law, eta - r)
     return make_report(
         "truncated-quantile-shift",
@@ -559,8 +609,12 @@ def check_walk_moment_bound(seq: IndependentSequence, p) -> InequalityReport:
 
         E[peak^p] <= 2^(1+2p) * (E[step peak^p] + peak*(2^(-1-2p))^p).
     """
-    if p <= 0:
-        raise ValueError("moment order must be positive")
+    _check_order(p)
+    if p > MAX_EXACT_ORDER:
+        raise ValueError(
+            f"moment order is above {MAX_EXACT_ORDER}, "
+            "where the scale 2^(1+2p) is not evaluated"
+        )
     walk = seq.walk_peak_law
     step = seq.step_peak_law
     if isinstance(p, int):
@@ -586,18 +640,18 @@ def check_spike_moment_bound(seq: IndependentSequence, r, p) -> InequalityReport
     p-th moment root is at most 2 * e^(2^p * r / p) * E[agg^p]^(1/p)."""
     if not 0 < r < 1:
         raise ValueError("r must lie in (0, 1)")
-    if p <= 0:
-        raise ValueError("moment order must be positive")
+    _check_order(p)
     frame, note = _identity_frame(seq)
-    inst = frame.instance
-    mags = frame.magnitude_laws
+    mags = aggregate_tail(frame)
     cut = tail_sum_inverse(mags, r)
-    spiked = [truncate_upper(var, cut, inst) for var in frame.variables]
-    spike_walk = frame.with_variables(spiked).walk_peak_law
-    lhs = spike_walk.moment_root(p)
-    rhs = 2.0 * math.exp(2.0 ** float(p) * float(r) / float(p)) * tail_sum_inverse_law(
-        mags
-    ).moment_root(p)
+    lhs = _capped_walk_law(frame, truncate_upper, cut).moment_root(p)
+    agg_root = tail_sum_inverse_law(mags).moment_root(p)
+    try:
+        rhs = 2.0 * math.exp(2.0 ** float(p) * float(r) / float(p)) * agg_root
+    except OverflowError:
+        # e^(2^p * r / p) lies beyond the float range: the bound is infinite
+        # unless the moment it multiplies is zero
+        rhs = math.inf if agg_root else 0.0
     return make_report(
         "spike-moment-bound",
         {"r": r, "p": p},
@@ -624,8 +678,9 @@ def moment_growth_multiplier(p0, eps) -> float:
 
 
 def _validate_growth_params(p0, p, q, eps, second: bool):
-    if p0 <= 0:
-        raise ValueError("threshold p0 must be positive")
+    _check_order(p0, "threshold p0", exact_powers=False)
+    _check_order(p, "moment order p")
+    _check_order(q, "moment order q")
     # A non-integer order may come as a float; compare all three as floats
     # then, so that p = float(1/3) and p0 = Fraction(1, 3) count as equal.
     orders = (q, p, p0)

@@ -4,8 +4,13 @@ Each statistic is a transition step(state, x) plus value(state), and two
 engines push a measure on states forward one variable at a time, merging
 equal states:
 
-* the exact engine keeps a dict from state to Fraction weight, so
-  downstream inequality checks certify at zero tolerance;
+* the exact engine keeps a dict from state to weight.  When every
+  probability is rational the weights are integer numerators over one
+  common denominator, the product of each variable's lcm of probability
+  denominators, and become Fractions only once equal values of the
+  statistic have been merged, so downstream inequality checks certify at
+  zero tolerance without a gcd per addition; float probabilities give
+  float weights;
 * seeded Monte Carlo keeps one state id per trial, where trial t's
   randomness is a pure function of (seed, t), making results independent
   of execution order and chunking.  Runs of columns with the same
@@ -218,15 +223,23 @@ class ScalarLaw:
         return self._suffix[0] - self.tail(x)
 
     def moment(self, p):
-        """E[X^p]; exact (Fraction) when p is a positive int on a rational law."""
+        """E[X^p]; exact (Fraction) when p is a positive int on a rational law.
+
+        Memoised per (type(p), p) in the law's own __dict__.
+        """
         if p <= 0:
             raise ValueError("moment order must be positive")
-        if isinstance(p, int) and not isinstance(p, bool) and self.is_rational:
-            return sum(prob * v**p for v, prob in zip(self.values, self.probs))
-        return sum(
-            float(prob) * float(v) ** float(p)
-            for v, prob in zip(self.values, self.probs)
-        )
+        memo = self.__dict__.setdefault("_moments", {})
+        key = (type(p), p)
+        if key not in memo:
+            if isinstance(p, int) and not isinstance(p, bool) and self.is_rational:
+                memo[key] = sum(prob * v**p for v, prob in zip(self.values, self.probs))
+            else:
+                memo[key] = sum(
+                    float(prob) * float(v) ** float(p)
+                    for v, prob in zip(self.values, self.probs)
+                )
+        return memo[key]
 
     def moment_root(self, p):
         """E[X^p]^(1/p); kept exact for p == 1, float otherwise."""
@@ -348,6 +361,25 @@ class IndependentSequence:
             self.instance, variables, self.z0, self.z1, self.label
         )
 
+    def derived(self, key, build):
+        """`build()`, made once per sequence for `key`.
+
+        Like the cached properties, the value lives in the sequence's own
+        __dict__, so a copy made by `dataclasses.replace` starts cold.
+        """
+        memo = self.__dict__.setdefault("_derived", {})
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    def release_derived(self) -> None:
+        """Drop what `derived` keeps and the moments memoised on the cached
+        laws; the cached laws themselves stay."""
+        self.__dict__.pop("_derived", None)
+        for value in self.__dict__.values():
+            if isinstance(value, ScalarLaw):
+                value.__dict__.pop("_moments", None)
+
     @cached_property
     def magnitude_laws(self) -> tuple:
         """Law of each step's magnitude d(z0, z0 * x); basepoint-independent."""
@@ -456,21 +488,51 @@ def path_trace(seq: IndependentSequence, outcome: Sequence) -> PathTrace:
     )
 
 
-def _advance(states: dict, var, step, index: int, cap: int) -> dict:
-    """Push a measure on states through step `index` (1-based) drawn from
-    `var`; equal states merge and their weights add.
+def _exact_weights(variables) -> tuple:
+    """(start weight, weighted atoms of each variable, prob) for the exact
+    push-forward; `prob(total)` turns a sum of final weights into a
+    probability, keeping an empty sum the int 0.
+
+    When every probability is rational, a variable's atoms carry the integer
+    weights p * L, with L the lcm of its probability denominators, so the
+    weights stay integers over the product D of the L's and `prob(total)`
+    is Fraction(total, D).  Otherwise the weights are the products of the
+    probabilities themselves and `prob` is the identity.
+    """
+    if not all(var.is_rational for var in variables):
+        return Fraction(1), [var.atoms for var in variables], lambda total: total
+    columns = []
+    denominator = 1
+    for var in variables:
+        lcm, weights = _over_lcm([p for _, p in var.atoms])
+        columns.append(tuple(zip(var.support, weights)))
+        denominator *= lcm
+    return 1, columns, lambda total: Fraction(total, denominator) if total else total
+
+
+def _over_lcm(probs) -> tuple:
+    """(L, [p * L for each p]), L the lcm of the rational probabilities'
+    denominators, so the weights are ints."""
+    lcm = math.lcm(*(p.denominator for p in probs))
+    return lcm, [p.numerator * (lcm // p.denominator) for p in probs]
+
+
+def _advance(states: dict, atoms, step, index: int, cap: int) -> dict:
+    """Push a measure on states through step `index` (1-based), whose
+    (element, weight) pairs are `atoms`; equal states merge and their
+    weights add.
 
     The cap bounds the (state, atom) pairs of one layer and is checked before
     the layer is expanded.
     """
-    if len(states) * len(var.atoms) > cap:
+    if len(states) * len(atoms) > cap:
         raise EnumerationCapError(
             f"{len(states)} states reached before step {index}; its "
-            f"{len(var.atoms)} atoms would exceed the state cap {cap}"
+            f"{len(atoms)} atoms would exceed the state cap {cap}"
         )
     out: dict = {}
     for state, weight in states.items():
-        for x, prob in var.atoms:
+        for x, prob in atoms:
             nxt = step(state, x)
             mass = weight * prob
             seen = out.get(nxt)
@@ -510,10 +572,15 @@ def exact_functional_law(
     start, step, value = _statistic(seq, statistic)
     if not seq.is_exact:
         raise ValueError("exact laws need finitely supported variables")
-    states = {start: Fraction(1)}
-    for index, var in enumerate(seq.variables, 1):
-        states = _advance(states, var, step, index, cap)
-    return ScalarLaw.from_pairs((value(s), w) for s, w in states.items())
+    one, columns, prob = _exact_weights(seq.variables)
+    states = {start: one}
+    for index, atoms in enumerate(columns, 1):
+        states = _advance(states, atoms, step, index, cap)
+    merged: dict = {}
+    for state, weight in states.items():
+        v = value(state)
+        merged[v] = merged.get(v, 0) + weight
+    return ScalarLaw.from_pairs((v, prob(w)) for v, w in merged.items())
 
 
 # ---------------------------------------------------------------------------

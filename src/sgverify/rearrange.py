@@ -3,17 +3,21 @@ truncations, and the tail-integral moment pieces.
 
 Everything operates on `ScalarLaw` values.  For exact laws the computations
 are closed-form over the finitely many tail steps; nothing is ever estimated
-by quadrature.
+by quadrature.  Quantiles are bisections on precomputed tails: a law's
+suffix sums, and the `AggregateTail` table of the summed magnitude tails,
+which a sequence builds once (`aggregate_tail`) and every checker shares.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .laws import DiscreteDistribution, ScalarLaw, is_rational
+from .laws import DiscreteDistribution, IndependentSequence, ScalarLaw, is_rational
 from .reports import InequalityReport, make_report
 from .semigroups import MetricSemigroup
 
@@ -23,15 +27,14 @@ def rearrangement_at(law: ScalarLaw, t):
 
     Right-continuous and nonincreasing in t; X*(1) = 0 always.  Values of
     t above 1 are accepted (the sup is empty there); negative t is an error.
+    The answer is the first value v with P(X > v) <= t, found by bisection
+    on the nonincreasing suffix sums (P(X > values[i]) is suffix[i + 1]).
     """
     if t < 0:
         raise ValueError(f"rearrangement argument must be >= 0, got {t}")
     if law.tail(0) <= t:
         return 0
-    for v in law.values:
-        if law.tail(v) <= t:
-            return v
-    return law.values[-1]  # unreachable: the tail past the top value is 0
+    return law.values[bisect_left(law._suffix, True, 1, key=lambda tail: tail <= t) - 1]
 
 
 @dataclass(frozen=True)
@@ -82,19 +85,63 @@ def tail_sum(laws: Sequence[ScalarLaw], x):
     return sum(law.tail(x) for law in laws)
 
 
+class AggregateTail(tuple):
+    """A family of step-magnitude laws whose summed tails
+    S(x) = sum_i P(Y_i > x) are tabulated on the merged grid of their values.
+
+    The functions below accept any sequence of laws and tabulate it on each
+    call; given an `AggregateTail` they use its table, so a sequence builds
+    it once (`aggregate_tail`) and every checker shares it.  Each S(v) is
+    summed in the order of the laws, as `tail_sum` does, so float tails come
+    out bit for bit the same.
+    """
+
+    def __init__(self, laws: Iterable[ScalarLaw]):
+        if not self:
+            raise ValueError("empty family of magnitude laws")
+        self.at_zero = tail_sum(self, 0)
+        self.grid = sorted({v for law in self for v in law.values})
+        self.sums = [tail_sum(self, v) for v in self.grid]
+
+    @cached_property
+    def inverse_law(self) -> ScalarLaw:
+        """`tail_sum_inverse_law` of the family."""
+        one = Fraction(1)
+        prev = min(one, self.at_zero)
+        pairs = []
+        if one - prev > 0:
+            pairs.append((0, one - prev))
+        for v, total in zip(self.grid, self.sums):
+            if v > 0:
+                cur = min(one, total)
+                if prev - cur > 0:
+                    pairs.append((v, prev - cur))
+                prev = cur
+        return ScalarLaw.from_pairs(pairs)
+
+
+def aggregate_tail(seq: IndependentSequence) -> AggregateTail:
+    """The aggregate tail of a sequence's magnitude laws, built once per
+    sequence."""
+    return seq.derived("aggregate_tail", lambda: AggregateTail(seq.magnitude_laws))
+
+
+def _aggregate(laws: Sequence[ScalarLaw]) -> AggregateTail:
+    return laws if isinstance(laws, AggregateTail) else AggregateTail(laws)
+
+
 def tail_sum_inverse(laws: Sequence[ScalarLaw], t):
-    """inf{y > 0 : sum_i P(Y_i > y) <= t}; 0 when every positive y qualifies."""
+    """inf{y > 0 : sum_i P(Y_i > y) <= t}; 0 when every positive y qualifies.
+
+    S is nonincreasing, so this is the first grid value with S <= t, found
+    by bisection; S is 0 past the top value, so one exists.
+    """
     if t <= 0:
         raise ValueError(f"tail-sum inverse needs t > 0, got {t}")
-    if not laws:
-        raise ValueError("empty family of magnitude laws")
-    if tail_sum(laws, 0) <= t:
+    table = _aggregate(laws)
+    if table.at_zero <= t:
         return 0
-    grid = sorted({v for law in laws for v in law.values})
-    for v in grid:
-        if tail_sum(laws, v) <= t:
-            return v
-    return grid[-1]  # unreachable: the summed tail past the top value is 0
+    return table.grid[bisect_left(table.sums, True, key=lambda total: total <= t)]
 
 
 def tail_sum_inverse_law(laws: Sequence[ScalarLaw]) -> ScalarLaw:
@@ -103,20 +150,7 @@ def tail_sum_inverse_law(laws: Sequence[ScalarLaw]) -> ScalarLaw:
     Its tail function is min(1, sum_i P(Y_i > x)), the clipped form of the
     summed-tails identity.
     """
-    if not laws:
-        raise ValueError("empty family of magnitude laws")
-    one = Fraction(1)
-    grid = sorted({v for law in laws for v in law.values if v > 0})
-    prev = min(one, tail_sum(laws, 0))
-    pairs = []
-    if one - prev > 0:
-        pairs.append((0, one - prev))
-    for v in grid:
-        cur = min(one, tail_sum(laws, v))
-        if prev - cur > 0:
-            pairs.append((v, prev - cur))
-        prev = cur
-    return ScalarLaw.from_pairs(pairs)
+    return _aggregate(laws).inverse_law
 
 
 def pow_value(v, p):
@@ -134,7 +168,7 @@ def excess_tail_moment(laws: Sequence[ScalarLaw], t, p):
     cut = tail_sum_inverse(laws, t)
     total = 0
     for law in laws:
-        points = [cut] + [v for v in law.values if v > cut]
+        points = [cut, *law.values[bisect_right(law.values, cut) :]]
         for a, b in zip(points, points[1:]):
             tau = law.tail(a)
             if tau > 0:

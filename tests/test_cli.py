@@ -180,6 +180,80 @@ def test_check_zero_moment_order_is_usage_error(seq_file, name, capsys):
     assert "moment order must be positive" in capsys.readouterr().err
 
 
+BEYOND_FLOATS = "lies beyond the float range"
+EXACT_POWERS = "is an integer above 500, where exact powers v^p are not evaluated"
+HUGE_INT = str(10**300)  # within the float range
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--ineq", "walk-moment", "--p", "1e400"], BEYOND_FLOATS),
+        (["--ineq", "walk-moment", "--p", "1001/2"], "where the scale 2^(1+2p) is not evaluated"),
+        (["--ineq", "spike-moment", "--r", "1/2", "--p", "1e400"], BEYOND_FLOATS),
+        (["--ineq", "spike-moment", "--r", "1/2", "--p", HUGE_INT], EXACT_POWERS),
+        (["--ineq", "moment-sandwich", "--t", "1/4", "--p", "1e400"], BEYOND_FLOATS),
+        (["--ineq", "moment-sandwich", "--t", "1/4", "--p", HUGE_INT], EXACT_POWERS),
+        (["--ineq", "moment-vs-quantile", "--p", "501"], EXACT_POWERS),
+        (["--ineq", "trunc-quantile", "--p", "1e400"], BEYOND_FLOATS),
+        (["--ineq", "moment-growth", "--p", "1", "--q", "1e400"], BEYOND_FLOATS),
+        (["--ineq", "moment-growth", "--p", "1", "--q", HUGE_INT], EXACT_POWERS),
+        (["--ineq", "moment-growth", "--p", "1", "--q", "2", "--p0", "1e400"], BEYOND_FLOATS),
+    ],
+    ids=lambda x: "-".join(a[:10] for a in x[1:2] + x[-2:]) if isinstance(x, list) else "",
+)
+def test_check_huge_moment_order_is_usage_error(seq_file, extra, message, capsys):
+    assert run(["check", seq_file, *extra]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        # p enters only through e^-p
+        ["--ineq", "trunc-quantile", "--p", "600"],
+        # a non-integer order takes float powers
+        ["--ineq", "moment-growth", "--p", "1", "--q", "1201/2"],
+        ["--ineq", "moment-vs-quantile", "--p", "1001/2"],
+    ],
+    ids=lambda extra: "-".join(extra[1:2] + extra[-2:]),
+)
+def test_check_orders_above_the_exact_limit_without_exact_powers(seq_file, tmp_path, extra):
+    out = tmp_path / "rep.json"
+    assert run(["check", seq_file, *extra, "--out", str(out)]) == 0
+    assert read_json(out)["results"]
+
+
+@pytest.mark.parametrize("r, p", [("1/2", "20"), ("9/10", "14"), ("1/2", "2001/2")])
+def test_check_spike_moment_bound_beyond_the_float_range_is_infinite(seq_file, tmp_path, r, p):
+    # e^(2^p * r / p) overflows a float; the bound is infinite and holds
+    out = tmp_path / "rep.json"
+    assert run(["check", seq_file, "--ineq", "spike-moment", "--r", r, "--p", p, "--out", str(out)]) == 0
+    [report] = read_json(out)["results"]
+    assert report["rhs"] == "inf" and report["holds"]
+    assert report["degenerate"] == "infinite-right-side"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["c", "cprime", "eps", "eta"])
+def test_check_non_finite_constants_are_usage_errors(seq_file, flag, value, capsys):
+    if flag == "eta":
+        argv = ["check", seq_file, "--ineq", "trunc-quantile", "--p", "1"]
+    else:
+        argv = ["check", seq_file, "--ineq", "moment-growth", "--p", "1", "--q", "2", "--c", "2"]
+    with pytest.raises(SystemExit) as err:
+        run([*argv, f"--{flag}={value}"])
+    assert err.value.code == 2
+    assert f"argument --{flag}: not a finite number: '{value}'" in capsys.readouterr().err
+
+
+def test_sweep_non_finite_eps_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        run(["sweep", "--count", "5", "--eps=nan"])
+    assert err.value.code == 2
+    assert "not a finite number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("with_c", [[], ["--c", "2.0"]])
 def test_check_moment_growth_compares_fractional_orders(seq_file, tmp_path, capsys, with_c):
     out = tmp_path / "rep.json"

@@ -1,9 +1,12 @@
 """The state-merging push-forward against its references.
 
 The exact engine is compared with `enumerate_outcomes`, a product over the
-joint support, on the full default corpus and on random small sequences;
-the Monte Carlo engine is compared with digests of the laws produced by the
-engines it replaced, which must not move for an existing seed.
+joint support, on the full default corpus, on random small sequences and on
+sequences that mix int and Fraction probabilities, in value and in repr;
+with float probabilities, with digests recorded before rational weights
+became integer numerators.  The Monte Carlo engine is compared with digests
+of the laws produced by the engines it replaced, which must not move for an
+existing seed.
 """
 
 import hashlib
@@ -88,20 +91,25 @@ def oracle_mogulskii(seq, m, a, b):
     return reach_min, reach_max, min(stay), end_le, end_ge
 
 
-def law_masses(law):
-    return dict(zip(law.values, law.probs))
+def assert_same(value, oracle):
+    """Equal, and equal in repr: an int 0 or a Fraction stays what it was."""
+    assert value == oracle and repr(value) == repr(oracle), (value, oracle)
+
+
+def assert_law_matches(law, masses):
+    assert_same(list(zip(law.values, law.probs)), sorted(masses.items()))
 
 
 def assert_matches_oracle(seq, m, a, b):
     walk, end, step = oracle_laws(seq)
-    assert law_masses(exact_functional_law(seq, "walk_peak")) == walk
-    assert law_masses(exact_functional_law(seq, "end_distance")) == end
-    assert law_masses(exact_functional_law(seq, "step_peak")) == step
+    assert_law_matches(exact_functional_law(seq, "walk_peak"), walk)
+    assert_law_matches(exact_functional_law(seq, "end_distance"), end)
+    assert_law_matches(exact_functional_law(seq, "step_peak"), step)
     low, high = check_mogulskii(seq, m, a, b)
     reach_min, reach_max, stay, end_le, end_ge = oracle_mogulskii(seq, m, a, b)
-    assert low.components == {"reach_prob": reach_min, "stay_prob": stay}
-    assert high.components == {"reach_prob": reach_max, "stay_prob": stay}
-    assert (low.rhs, high.rhs) == (end_le, end_ge)
+    assert_same(low.components, {"reach_prob": reach_min, "stay_prob": stay})
+    assert_same(high.components, {"reach_prob": reach_max, "stay_prob": stay})
+    assert_same((low.rhs, high.rhs), (end_le, end_ge))
 
 
 def test_exact_engine_matches_enumeration_on_default_corpus():
@@ -130,6 +138,32 @@ def test_exact_engine_matches_enumeration_on_random_sequences(
     a = data.draw(st.sampled_from(seq.end_distance_law.values), label="a")
     b = data.draw(st.sampled_from(seq.walk_peak_law.values), label="b")
     assert_matches_oracle(seq, m, a, b)
+
+
+def test_exact_engine_matches_enumeration_with_int_and_fraction_probabilities():
+    line = IntegerAdditive()
+    sure = DiscreteDistribution.of([(2, 1)])
+    coin = DiscreteDistribution.of([(1, F(1, 3)), (-1, F(2, 3))])
+    mixed = DiscreteDistribution.of([(3, F(1, 2)), (-2, F(1, 4)), (0, F(1, 4))])
+    posreal = PositiveRationalsAdditive()
+    seqs = [
+        IndependentSequence.build(line, [sure, sure, sure]),
+        IndependentSequence.build(line, [sure, coin, mixed, sure, coin]),
+        IndependentSequence.build(line, [coin, sure, mixed], z0=1, z1=-2),
+        IndependentSequence.build(
+            posreal,
+            [
+                DiscreteDistribution.of([(F(1, 2), 1)]),
+                DiscreteDistribution.of([(F(3), F(3, 7)), (1, F(4, 7))]),
+                DiscreteDistribution.of([(2, F(1, 2)), (F(5, 2), F(1, 2))]),
+            ],
+        ),
+    ]
+    for seq in seqs:
+        ends = seq.end_distance_law.values
+        for m in range(1, seq.n + 1):
+            for radius in (0, ends[(len(ends) - 1) // 2], ends[-1]):
+                assert_matches_oracle(seq, m, radius, radius)
 
 
 def pm1_walk(n, up=F(1, 2), inst=None):
@@ -228,6 +262,82 @@ GOLDEN_MC = (
     ("posreal-types", "step_peak", 13, 3000, 8192, "3f10976e5619634f"),
 )
 
+
+def float_sequences():
+    """Sequences with float probabilities, whose exact laws multiply the
+    probabilities themselves."""
+
+    def floated(seq):
+        return seq.with_variables(
+            [DiscreteDistribution.of([(e, float(p)) for e, p in v.atoms]) for v in seq.variables]
+        )
+
+    corpus = generate_corpus(CorpusSpec(count=10, seed=6))
+    line = IntegerAdditive()
+    return {
+        "float-corpus6-3": floated(corpus[3]),
+        "float-corpus6-4": floated(corpus[4]),
+        "float-corpus6-9": floated(corpus[9]),
+        "float-pm1-12": pm1_walk(12, 0.3),
+        "float-int-mixed": IndependentSequence.build(
+            line,
+            [
+                DiscreteDistribution.of([(1, F(1, 3)), (-1, F(2, 3))]),
+                DiscreteDistribution.of([(2, 0.1), (-1, 0.9)]),
+                DiscreteDistribution.of([(1, 1)]),
+                DiscreteDistribution.of([(3, 0.25), (-2, 0.5), (0, 0.25)]),
+            ],
+        ),
+        "float-torus": IndependentSequence.build(
+            TorusGroup(1), [DiscreteDistribution.of([((0.125,), 0.3), ((0.75,), 0.7)])] * 8
+        ),
+    }
+
+
+def float_digest(seq, what):
+    if what == "mogulskii":
+        ends = seq.end_distance_law.values
+        radius = ends[(len(ends) - 1) // 2]
+        blob = repr(check_mogulskii(seq, (seq.n + 1) // 2, radius, radius))
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return law_digest(exact_functional_law(seq, what))
+
+
+# (sequence, statistic or "mogulskii", digest of the repr), recorded with the
+# engine that multiplied Fraction and float probabilities directly.
+GOLDEN_FLOAT = (
+    ("float-corpus6-3", "walk_peak", "04f5ab65cccce48f"),
+    ("float-corpus6-3", "end_distance", "b697eaabb2e401f3"),
+    ("float-corpus6-3", "step_peak", "46fe9d8526ab3744"),
+    ("float-corpus6-3", "mogulskii", "aa65f623bec3a166"),
+    ("float-corpus6-4", "walk_peak", "d017068002ffc780"),
+    ("float-corpus6-4", "end_distance", "d017068002ffc780"),
+    ("float-corpus6-4", "step_peak", "51cfc2a7097f6b91"),
+    ("float-corpus6-4", "mogulskii", "e0b0edeb47a5ff1c"),
+    ("float-corpus6-9", "walk_peak", "e217999c6fb84088"),
+    ("float-corpus6-9", "end_distance", "e217999c6fb84088"),
+    ("float-corpus6-9", "step_peak", "18ad6354456805da"),
+    ("float-corpus6-9", "mogulskii", "f425258bda7fbc2a"),
+    ("float-pm1-12", "walk_peak", "559b59d80aa90ca3"),
+    ("float-pm1-12", "end_distance", "47067682288269e3"),
+    ("float-pm1-12", "step_peak", "6fcb729ca604f0e1"),
+    ("float-pm1-12", "mogulskii", "c19e8a17d7b0f762"),
+    ("float-int-mixed", "walk_peak", "524d3cbcd33e081c"),
+    ("float-int-mixed", "end_distance", "e7dda7c571410e97"),
+    ("float-int-mixed", "step_peak", "aa3856cf935aeb63"),
+    ("float-int-mixed", "mogulskii", "669407ca9b6751ee"),
+    ("float-torus", "walk_peak", "b1aa433710c52b40"),
+    ("float-torus", "end_distance", "8e74adb555c81aa3"),
+    ("float-torus", "step_peak", "8d6fa0216856a5d8"),
+    ("float-torus", "mogulskii", "1118dd77479200a2"),
+)
+
+
+def test_float_probability_laws_match_recorded_digests():
+    seqs = float_sequences()
+    for name, what, digest in GOLDEN_FLOAT:
+        assert float_digest(seqs[name], what) == digest, (name, what)
+    
 
 class CountingIntegers(IntegerAdditive):
     def __init__(self):

@@ -1,0 +1,174 @@
+"""The quantile layer against the linear scans it replaced.
+
+`rearrangement_at`, `tail_sum_inverse`, `tail_sum_inverse_law` and
+`excess_tail_moment` bisect precomputed tails; the functions below are their
+earlier definitions, which scan every grid point and re-sum the tails at
+each.  Results must be equal and have the same repr, so that no report
+changes a byte, whether the laws come as a plain tuple or as a sequence's
+shared `AggregateTail`.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sgverify import (
+    ScalarLaw,
+    excess_tail_moment,
+    rearrangement_at,
+    tail_sum,
+    tail_sum_inverse,
+    tail_sum_inverse_law,
+)
+from sgverify.corpus import CorpusSpec, generate_corpus
+from sgverify.rearrange import AggregateTail, aggregate_tail, pow_value
+
+F = Fraction
+
+
+def scan_rearrangement_at(law, t):
+    if t < 0:
+        raise ValueError(f"rearrangement argument must be >= 0, got {t}")
+    if law.tail(0) <= t:
+        return 0
+    for v in law.values:
+        if law.tail(v) <= t:
+            return v
+    return law.values[-1]
+
+
+def scan_tail_sum_inverse(laws, t):
+    if t <= 0:
+        raise ValueError(f"tail-sum inverse needs t > 0, got {t}")
+    if not laws:
+        raise ValueError("empty family of magnitude laws")
+    if tail_sum(laws, 0) <= t:
+        return 0
+    grid = sorted({v for law in laws for v in law.values})
+    for v in grid:
+        if tail_sum(laws, v) <= t:
+            return v
+    return grid[-1]
+
+
+def scan_tail_sum_inverse_law(laws):
+    if not laws:
+        raise ValueError("empty family of magnitude laws")
+    one = Fraction(1)
+    grid = sorted({v for law in laws for v in law.values if v > 0})
+    prev = min(one, tail_sum(laws, 0))
+    pairs = []
+    if one - prev > 0:
+        pairs.append((0, one - prev))
+    for v in grid:
+        cur = min(one, tail_sum(laws, v))
+        if prev - cur > 0:
+            pairs.append((v, prev - cur))
+        prev = cur
+    return ScalarLaw.from_pairs(pairs)
+
+
+def scan_excess_tail_moment(laws, t, p):
+    if p <= 0:
+        raise ValueError("moment order must be positive")
+    return scan_excess_above(laws, scan_tail_sum_inverse(laws, t), p)
+
+
+def scan_excess_above(laws, cut, p):
+    total = 0
+    for law in laws:
+        points = [cut] + [v for v in law.values if v > cut]
+        for a, b in zip(points, points[1:]):
+            tau = law.tail(a)
+            if tau > 0:
+                total = total + tau * (pow_value(b, p) - pow_value(a, p))
+    return total
+
+
+def same(a, b):
+    return a == b and repr(a) == repr(b)
+
+
+C06_T_GRID = (F(1, 20), F(1, 10), F(1, 4), F(2, 5), F(49, 100))
+# C06's t grid and t >= 1, as Fractions and as floats, each with a moment
+# order for the excess tail moment.
+LEVELS = (*C06_T_GRID, F(1), F(3, 2), F(2))
+LEVELS = [*LEVELS, *(float(t) for t in LEVELS)]
+ORDERS = (0.5, 1, 2)
+
+
+def assert_quantiles_match(mags, laws, levels):
+    """Compare on the family `mags` and on `laws`, cycling the moment order."""
+    assert same(tail_sum_inverse_law(mags), scan_tail_sum_inverse_law(mags))
+    for i, t in enumerate(levels):
+        p = ORDERS[i % len(ORDERS)]
+        cut = scan_tail_sum_inverse(mags, t)
+        assert same(tail_sum_inverse(mags, t), cut), t
+        assert same(excess_tail_moment(mags, t, p), scan_excess_above(mags, cut, p)), (t, p)
+    for law in laws:
+        for t in (0, *levels):
+            assert same(rearrangement_at(law, t), scan_rearrangement_at(law, t)), t
+
+
+def test_quantile_layer_matches_linear_scans_on_default_corpus():
+    for seq in generate_corpus(CorpusSpec(count=10_000, seed=1)):
+        mags = aggregate_tail(seq)
+        assert aggregate_tail(seq) is mags
+        laws = (seq.walk_peak_law, seq.step_peak_law, tail_sum_inverse_law(mags))
+        assert_quantiles_match(mags, laws, LEVELS)
+
+
+def exact_laws():
+    """Laws from weights over a few values: Fraction or int values."""
+    values = st.one_of(
+        st.integers(0, 6), st.fractions(0, 6, max_denominator=4)
+    )
+    return st.lists(
+        st.tuples(values, st.integers(1, 5)), min_size=1, max_size=5
+    ).map(lambda pairs: ScalarLaw.from_pairs(
+        [(v, F(w, sum(w for _, w in pairs))) for v, w in pairs]
+    ))
+
+
+def empirical_laws():
+    """Monte Carlo style laws: counts over trials, float or int values."""
+    values = st.one_of(st.integers(0, 6), st.floats(0, 6, allow_nan=False))
+    return st.dictionaries(values, st.integers(1, 50), min_size=1, max_size=5).map(
+        lambda counts: ScalarLaw.from_counts(counts, sum(counts.values()), seed=0)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mags=st.lists(st.one_of(exact_laws(), empirical_laws()), min_size=1, max_size=4),
+    levels=st.lists(
+        st.one_of(
+            st.fractions(0, 3, max_denominator=12).filter(lambda t: t > 0),
+            st.floats(1e-6, 3),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_quantile_layer_matches_linear_scans_on_random_laws(mags, levels):
+    # as a sequence's shared table and as a plain list of laws
+    assert_quantiles_match(AggregateTail(mags), mags, levels)
+    assert_quantiles_match(mags, mags, levels)
+
+
+def test_quantile_layer_rejects_what_the_scans_reject():
+    law = ScalarLaw.point_mass(1)
+    for bad in (lambda f: f([], F(1, 2)), lambda f: f([law], 0)):
+        for fn in (tail_sum_inverse, scan_tail_sum_inverse):
+            with pytest.raises(ValueError):
+                bad(fn)
+    with pytest.raises(ValueError, match="empty family"):
+        tail_sum_inverse_law([])
+    for fn in (excess_tail_moment, scan_excess_tail_moment):
+        with pytest.raises(ValueError, match="must be positive"):
+            fn([law], F(1, 2), 0)
+    with pytest.raises(ValueError, match=">= 0"):
+        rearrangement_at(law, -math.ulp(0))
