@@ -147,9 +147,19 @@ def _is_zero(value) -> bool:
 
 
 def _chain_report(name, params, links, engine=None, note=None, tol=None):
-    """Report for a chain q_0 <= q_1 <= ... <= q_m; slack is the worst link."""
+    """Report for a chain q_0 <= q_1 <= ... <= q_m; slack is the worst link.
+
+    A link whose two ends are the same float infinity (both beyond the float
+    range) cannot be compared and is skipped; when the other links hold, the
+    report is degenerate.  Any other nan link fails the chain."""
     values = [v for _, v in links]
-    slack = min(b - a for a, b in zip(values, values[1:]))
+    gaps = [
+        b - a
+        for a, b in zip(values, values[1:])
+        if not (isinstance(a, float) and math.isinf(a) and a == b)
+    ]
+    nan = any(isinstance(g, float) and math.isnan(g) for g in gaps)
+    slack = math.nan if nan else min(gaps, default=math.inf)
     rational = all(is_rational_number(v) for v in values)
     if rational:
         holds = slack >= 0
@@ -168,6 +178,7 @@ def _chain_report(name, params, links, engine=None, note=None, tol=None):
         slack=slack,
         holds=holds,
         engine=engine,
+        degenerate="infinite-links" if holds and len(gaps) < len(links) - 1 else None,
         components=dict(links),
         note=note,
     )

@@ -154,15 +154,20 @@ def tail_sum_inverse_law(laws: Sequence[ScalarLaw]) -> ScalarLaw:
 
 
 def pow_value(v, p):
-    """v**p, exact for integer p on rational v, float otherwise."""
+    """v**p, exact for integer p on rational v, float otherwise (math.inf
+    beyond the float range)."""
     if isinstance(p, int) and not isinstance(p, bool) and is_rational(v):
         return v**p
-    return float(v) ** float(p)
+    try:
+        return float(v) ** float(p)
+    except OverflowError:
+        return math.inf
 
 
 def excess_tail_moment(laws: Sequence[ScalarLaw], t, p):
     """p * sum_i int_{L}^{inf} u^(p-1) P(Y_i > u) du with L the tail-sum
-    inverse at t, evaluated in closed form over the tail constancy intervals."""
+    inverse at t, evaluated in closed form over the tail constancy intervals;
+    math.inf once a power u^p leaves the float range."""
     if p <= 0:
         raise ValueError("moment order must be positive")
     cut = tail_sum_inverse(laws, t)
@@ -172,7 +177,10 @@ def excess_tail_moment(laws: Sequence[ScalarLaw], t, p):
         for a, b in zip(points, points[1:]):
             tau = law.tail(a)
             if tau > 0:
-                total = total + tau * (pow_value(b, p) - pow_value(a, p))
+                top = pow_value(b, p)
+                if top == math.inf:
+                    return math.inf
+                total = total + tau * (top - pow_value(a, p))
     return total
 
 

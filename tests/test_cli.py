@@ -234,6 +234,36 @@ def test_check_spike_moment_bound_beyond_the_float_range_is_infinite(seq_file, t
     assert report["degenerate"] == "infinite-right-side"
 
 
+@pytest.mark.parametrize(
+    "atoms, argv",
+    [
+        ([20, -20], ["--ineq", "moment-growth", "--p", "1", "--q", "501/2"]),
+        ([20, -20], ["--ineq", "moment-growth", "--p", "1", "--q", "501/2", "--c", "2"]),
+        ([20, -20], ["--ineq", "moment-vs-quantile", "--p", "301"]),
+        ([20, -20], ["--ineq", "walk-moment", "--p", "401/2"]),
+        ([20, -20], ["--ineq", "moment-sandwich", "--t", "1/2", "--p", "501/2"]),
+        ([20, -30], ["--ineq", "moment-sandwich", "--t", "1", "--p", "501/2"]),
+    ],
+)
+def test_check_moments_beyond_the_float_range(tmp_path, atoms, argv):
+    # On a walk with steps of size 20 or 30, E[X^p] leaves the float range
+    # at these orders; moment roots stay finite, and a bound that compares
+    # infinite floats is degenerate
+    path = tmp_path / "walk.json"
+    step = {"atoms": [[atoms[0], "1/2"], [atoms[1], "1/2"]]}
+    path.write_text(json.dumps({"instance": "int", "variables": [step, step]}))
+    out = tmp_path / "rep.json"
+    assert run(["check", str(path), *argv, "--out", str(out)]) == 0
+    for report in read_json(out)["results"]:
+        if report.get("degenerate"):
+            assert report["degenerate"] in ("infinite-right-side", "infinite-links")
+            assert report["rhs"] == "inf" and report["holds"]
+        else:
+            assert '"inf"' not in json.dumps(report)
+            assert report.get("holds", True)
+        assert '"nan"' not in json.dumps(report)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("flag", ["c", "cprime", "eps", "eta"])
 def test_check_non_finite_constants_are_usage_errors(seq_file, flag, value, capsys):

@@ -31,6 +31,7 @@ from sgverify import (
     tight_block_set,
 )
 from sgverify.cli import default_suite
+from sgverify.inequalities import _chain_report
 from sgverify.corpus import CorpusSpec, generate_corpus, generate_sequence, random_hj_parameters
 from sgverify.reports import FLOAT_SLACK_TOL, InequalityReport, is_rational_number
 
@@ -213,6 +214,21 @@ def test_sandwich_examples():
     zero = IndependentSequence.build(line, [DiscreteDistribution.point_mass(0)])
     rep = check_step_moment_sandwich(zero, F(1, 2), 1)
     assert rep.components["step_peak_moment"] == 0 and rep.holds
+
+
+def test_chain_skips_links_between_infinite_floats():
+    # inf <= inf cannot be decided in floats; the other links still are, and
+    # a failing one is a failure, not a degenerate report
+    inf, nan = math.inf, math.nan
+    held = _chain_report("chain", {}, [("a", 1.0), ("b", inf), ("c", inf)])
+    assert held.holds and held.slack == inf and held.degenerate == "infinite-links"
+    failed = _chain_report("chain", {}, [("a", inf), ("b", inf), ("c", 1.0)])
+    assert not failed.holds and failed.slack == -inf and failed.degenerate is None
+    finite = _chain_report("chain", {}, [("a", 1.0), ("b", 2.0)])
+    assert finite.degenerate is None and finite.slack == 1.0
+    for links in ([1.0, nan, 2.0], [nan, nan], [inf, nan, inf], [1.0, 2.0, nan]):
+        rep = _chain_report("chain", {}, list(zip("abc", links)))
+        assert not rep.holds and math.isnan(rep.slack) and rep.degenerate is None, links
 
 
 # -- quantile-ratio constant --------------------------------------------------

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgverify import (
     CyclicGroup,
@@ -92,6 +94,33 @@ def test_moment_helpers():
     assert law.moment_root(2) == pytest.approx(math.sqrt(2.5))
     point = ScalarLaw.point_mass(F(3))
     assert point.moment(2) == 9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    atoms=st.lists(
+        st.tuples(
+            st.one_of(st.integers(0, 10**15), st.floats(0, 1e300)),
+            st.integers(1, 1000),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    orders=st.lists(
+        st.one_of(st.floats(0.5, 1e6), st.integers(1, 500)), min_size=2, max_size=4
+    ),
+)
+def test_moment_root_is_finite_and_nondecreasing_in_the_order(atoms, orders):
+    # E[X^p] leaves the float range for large or small values and large
+    # orders; its root is at most the largest value and, by Lyapunov, grows
+    # with p
+    total = sum(w for _, w in atoms)
+    law = ScalarLaw.from_pairs([(v, F(w, total)) for v, w in atoms])
+    roots = [law.moment_root(p) for p in sorted(orders)]
+    for root in roots:
+        assert math.isfinite(root) and root <= float(law.max_value) * (1 + 1e-12)
+    for low, high in zip(roots, roots[1:]):
+        assert low <= high * (1 + 1e-12), roots
 
 
 def test_single_variable_peak_equals_magnitude_law():

@@ -6,7 +6,8 @@ sequences that mix int and Fraction probabilities, in value and in repr;
 with float probabilities, with digests recorded before rational weights
 became integer numerators.  The Monte Carlo engine is compared with digests
 of the laws produced by the engines it replaced, which must not move for an
-existing seed.
+existing seed, and with `reference_monte_carlo_law`, the column loop it
+replaced, in law and in the number of steps taken.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,8 @@ from sgverify import (
     IndependentSequence,
     IntegerAdditive,
     PositiveRationalsAdditive,
+    Sampler,
+    ScalarLaw,
     TorusGroup,
     check_mogulskii,
     enumerate_outcomes,
@@ -32,8 +36,9 @@ from sgverify import (
     sequence_from_config,
 )
 from sgverify.corpus import CorpusSpec, generate_corpus, generate_sequence
-from sgverify.laws import DEFAULT_ENUMERATION_CAP
-from sgverify.levy import UniformBoxSampler
+from sgverify.laws import DEFAULT_ENUMERATION_CAP, MAX_THRESHOLD_ATOMS, _statistic
+from sgverify.levy import PointSampler, UniformBoxSampler
+from sgverify.rng import uniform_block
 
 F = Fraction
 
@@ -339,6 +344,150 @@ def test_float_probability_laws_match_recorded_digests():
         assert float_digest(seqs[name], what) == digest, (name, what)
     
 
+def reference_monte_carlo_law(seq, statistic, trials, seed, chunk_size=8192):
+    """The column loop the engine replaced: each trial's atom by a binary
+    search of the cumulative probabilities, and the transition table grown
+    by concatenation and the state list rebuilt at every column."""
+    start, step, value = _statistic(seq, statistic)
+    columns = []
+    previous = None
+    for var in seq.variables:
+        if isinstance(var, DiscreteDistribution):
+            cum = np.cumsum([float(p) for _, p in var.atoms])
+            cum[-1] = 1.0
+            elements = [e for e, _ in var.atoms]
+            same = elements == previous and repr(elements) == repr(previous)
+            columns.append((var, cum, elements, same))
+            previous = elements
+        else:
+            columns.append((var, None, None, False))
+            previous = None
+    width = sum(var.width if cum is None else 1 for var, cum, _, _ in columns)
+    counts = {}
+    done = 0
+    while done < trials:
+        batch = min(chunk_size, trials - done)
+        u = uniform_block(seed, width, done, batch)
+        states = [start]
+        ids = np.zeros(batch, dtype=np.intp)
+        col = 0
+        for var, cum, elements, same in columns:
+            if cum is None:
+                w = var.width
+                states = [
+                    step(states[i], var.draw(u[row, col : col + w]))
+                    for row, i in enumerate(ids.tolist())
+                ]
+                ids = np.arange(batch)
+                col += w
+                continue
+            k = len(elements)
+            codes = ids * k + np.searchsorted(cum, u[:, col], side="right")
+            col += 1
+            if same and len(states) * k <= 2 * batch:
+                fresh = np.full(len(states) * k - len(table), -1, dtype=np.intp)
+                table = np.concatenate([table, fresh])
+                missing = np.unique(codes[table[codes] < 0])
+                table[missing] = [
+                    interned.setdefault(step(states[p // k], elements[p % k]), len(interned))
+                    for p in missing.tolist()
+                ]
+                ids = table[codes]
+            else:
+                pairs, inverse = np.unique(codes, return_inverse=True)
+                interned = {}
+                new_ids = [
+                    interned.setdefault(step(states[p // k], elements[p % k]), len(interned))
+                    for p in pairs.tolist()
+                ]
+                ids = np.asarray(new_ids, dtype=np.intp)[inverse]
+                table = np.empty(0, dtype=np.intp)
+            states = list(interned)
+        for state, c in zip(states, np.bincount(ids, minlength=len(states)).tolist()):
+            if c:
+                v = value(state)
+                counts[v] = counts.get(v, 0) + c
+        done += batch
+    return ScalarLaw.from_counts(counts, trials, seed)
+
+
+def assert_matches_reference(seq, statistic, trials, seed, chunk_size):
+    law = monte_carlo_law(seq, statistic, trials=trials, seed=seed, chunk_size=chunk_size)
+    reference = reference_monte_carlo_law(seq, statistic, trials, seed, chunk_size)
+    assert_same(law, reference)
+
+
+def test_monte_carlo_engine_matches_reference_on_default_corpus():
+    # default-corpus columns have at most 3 atoms; the adversarial columns
+    # below reach the wider ones
+    corpus = generate_corpus(CorpusSpec(count=200))
+    for index, seq in enumerate(corpus):
+        trials = 2 + index % 29
+        for statistic in ("walk_peak", "end_distance", "step_peak"):
+            for chunk_size in (1, 7, 8192):
+                assert_matches_reference(seq, statistic, trials, index, chunk_size)
+
+
+def float_column(rng, k, tiny_last=0.0):
+    """k distinct int atoms with float probabilities, the last `tiny_last`
+    when it is positive."""
+    weights = [rng.random() + 0.01 for _ in range(k - (tiny_last > 0))]
+    total = sum(weights) / (1.0 - tiny_last)
+    probs = [w / total for w in weights] + ([tiny_last] if tiny_last else [])
+    return DiscreteDistribution.of(zip(rng.sample(range(-200, 200), k), probs))
+
+
+def adversarial_sequences():
+    rng = random.Random(6)
+    line = IntegerAdditive()
+    torus = TorusGroup(1)
+
+    def ints(k):
+        return DiscreteDistribution.uniform(list(range(-(k // 2), k - k // 2)))
+
+    # the float cumsum of the first two reaches 1.0 (or passes it) before
+    # the last atom, which is then never drawn
+    early = [
+        DiscreteDistribution.of([(1, 0.5), (-1, 0.5), (3, 1e-17)]),
+        DiscreteDistribution.of([(1, 0.6), (-1, 0.4 + 2e-13), (3, 1e-13)]),
+    ]
+    narrow = float_column(rng, MAX_THRESHOLD_ATOMS)
+    wide = float_column(rng, MAX_THRESHOLD_ATOMS + 1)
+    return {
+        "8-atoms": IndependentSequence.build(line, [ints(MAX_THRESHOLD_ATOMS)] * 12),
+        "9-atoms": IndependentSequence.build(line, [ints(MAX_THRESHOLD_ATOMS + 1)] * 12),
+        "64-atoms": IndependentSequence.build(line, [ints(64)] * 6),
+        "float-8-9": IndependentSequence.build(line, [narrow, narrow, wide, wide, narrow] * 3),
+        "float-2-64": IndependentSequence.build(
+            line, [float_column(rng, rng.randint(2, 64)) for _ in range(8)]
+        ),
+        "tiny-last": IndependentSequence.build(line, [float_column(rng, 5, 1e-17)] * 10),
+        "cumsum-early": IndependentSequence.build(line, [early[0]] * 4 + [early[1]] * 4),
+        "samplers": IndependentSequence.build(
+            torus,
+            [
+                UniformBoxSampler(torus, 0.5),
+                PointSampler((0.25,)),
+                DiscreteDistribution.uniform([(0.0,), (0.5,)]),
+                DiscreteDistribution.uniform([(0.0,), (0.5,)]),
+                PointSampler((0.125,)),
+                DiscreteDistribution.of([((0.0,), 0.3), ((0.75,), 0.7)]),
+                UniformBoxSampler(torus, 0.25),
+                DiscreteDistribution.of([((0.0,), 0.3), ((0.75,), 0.7)]),
+            ],
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(adversarial_sequences()))
+def test_monte_carlo_engine_matches_reference_on_adversarial_columns(name):
+    seq = adversarial_sequences()[name]
+    for statistic in ("walk_peak", "end_distance", "step_peak"):
+        for chunk_size in (1, 7, 8192):
+            trials = 40 if chunk_size == 1 else 3000
+            assert_matches_reference(seq, statistic, trials, 17, chunk_size)
+
+
 class CountingIntegers(IntegerAdditive):
     def __init__(self):
         super().__init__()
@@ -355,6 +504,28 @@ def test_monte_carlo_steps_each_transition_once_per_epoch():
     inst = CountingIntegers()
     monte_carlo_law(pm1_walk(200, inst=inst), "walk_peak", trials=10_000, seed=12)
     assert inst.compose_calls < 10_000
+
+
+class SignSampler(Sampler):
+    """+1 or -1 from one uniform."""
+
+    def draw(self, u):
+        return 1 if u[0] < 0.5 else -1
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 8192])
+def test_monte_carlo_steps_as_often_as_the_reference(chunk_size):
+    pm1 = DiscreteDistribution.of([(1, F(1, 2)), (-1, F(1, 2))])
+    skew = DiscreteDistribution.of([(2, 0.25), (-1, 0.75)])
+    mixed = [pm1, pm1, SignSampler(), pm1, PointSampler(1), skew, skew, pm1] * 5
+    trials = 50 if chunk_size == 1 else 3000
+    for columns in ([pm1] * 200, mixed):
+        calls = []
+        for engine in (monte_carlo_law, reference_monte_carlo_law):
+            inst = CountingIntegers()
+            engine(IndependentSequence.build(inst, columns), "walk_peak", trials, 12, chunk_size)
+            calls.append(inst.compose_calls)
+        assert calls[0] == calls[1], calls
 
 
 @pytest.mark.parametrize("chunk_size", [0, -1])
@@ -393,11 +564,15 @@ def test_monte_carlo_law_does_not_depend_on_chunk_size(spec, seed, trials, stati
         DiscreteDistribution.uniform([torus.random_element(rng) for _ in range(2)]),
         DiscreteDistribution.uniform([torus.random_element(rng) for _ in range(3)]),
     )
+    wide = [float_column(rng, rng.randint(MAX_THRESHOLD_ATOMS + 1, 64)) for _ in range(2)]
     seqs = (
         generate_sequence(parse_instance(spec), rng, 5, 3, "random"),
         IndependentSequence.build(torus, [columns[0]] * rng.randint(1, 6)),
         IndependentSequence.build(
             torus, [rng.choice(columns) for _ in range(rng.randint(1, 8))]
+        ),
+        IndependentSequence.build(
+            IntegerAdditive(), [rng.choice(wide) for _ in range(rng.randint(1, 8))]
         ),
     )
     chunk = data.draw(st.integers(1, trials), label="chunk_size")
