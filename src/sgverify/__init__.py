@@ -13,6 +13,7 @@ from .axioms import (
 from .corpus import (
     CorpusSpec,
     generate_corpus,
+    iter_corpus,
     random_hj_parameters,
     threshold_candidates,
 )
@@ -33,6 +34,7 @@ from .inequalities import (
     estimate_quantile_ratio_constant,
     moment_growth_multiplier,
     required_moment_growth_constant,
+    sweep_moment_growth,
     sweep_moment_vs_quantile,
     tight_block_set,
 )

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -121,6 +123,28 @@ def _axiom_checks(inst: MetricSemigroup, tol) -> list[tuple[str, int, Callable]]
     return checks
 
 
+def _check_setup(inst: MetricSemigroup, samples, seed, tol) -> tuple:
+    """(tolerance, tuples) of a check on `inst`: `tuples(arity, tag)` gives all
+    element tuples of a finite carrier when `samples` is None, else `samples`
+    random ones for `tag`; `tol` must be None or a finite number >= 0."""
+    if samples is not None and (not isinstance(samples, int) or samples < 1):
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    if tol is None:
+        tol = 0 if inst.is_exact else 1e-12
+    elif not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    if samples is None and not inst.is_finite:
+        raise ValueError(f"{inst.name} is not finite; pass samples= for a sampled check")
+
+    def tuples(arity: int, tag: str) -> Iterable[tuple]:
+        if samples is None:
+            return itertools.product(list(inst.elements()), repeat=arity)
+        rng = random.Random((seed, tag).__repr__())
+        return (tuple(inst.random_element(rng) for _ in range(arity)) for _ in range(samples))
+
+    return tol, tuples
+
+
 def verify_axioms(
     inst: MetricSemigroup,
     samples: int | None = None,
@@ -134,12 +158,8 @@ def verify_axioms(
     from ``random.Random(seed)``.  The default tolerance is 0 for exact
     instances and 1e-12 for real-valued ones.
     """
-    if tol is None:
-        tol = 0 if inst.is_exact else 1e-12
+    tol, tuples = _check_setup(inst, samples, seed, tol)
     exhaustive = samples is None
-    if exhaustive and not inst.is_finite:
-        raise ValueError(f"{inst.name} is not finite; pass samples= for a sampled check")
-
     report = AxiomReport(
         instance=inst.name,
         mode="exhaustive" if exhaustive else "sampled",
@@ -149,19 +169,10 @@ def verify_axioms(
     )
 
     for name, arity, check in _axiom_checks(inst, tol):
-        if exhaustive:
-            elems = list(inst.elements())
-            tuples: Iterable[tuple] = itertools.product(elems, repeat=arity)
-        else:
-            rng = random.Random((seed, name).__repr__())
-            tuples = (
-                tuple(inst.random_element(rng) for _ in range(arity))
-                for _ in range(samples)
-            )
         count = 0
         bad = 0
         worst: AxiomViolation | None = None
-        for tup in tuples:
+        for tup in tuples(arity, name):
             count += 1
             dev = check(*tup)
             if dev > tol:
@@ -233,25 +244,10 @@ def classify_group_metric(
     """
     if not inst.is_group:
         raise NotAGroupError(f"{inst.name} is not a group")
-    if tol is None:
-        tol = 0 if inst.is_exact else 1e-12
-    exhaustive = samples is None
-    if exhaustive and not inst.is_finite:
-        raise ValueError(f"{inst.name} is not finite; pass samples= for a sampled check")
-
+    tol, tuples_of = _check_setup(inst, samples, seed, tol)
     d = inst.distance
     c = inst.compose
     inv = inst.inverse
-
-    def tuples_of(arity: int, tag: str):
-        if exhaustive:
-            elems = list(inst.elements())
-            return itertools.product(elems, repeat=arity)
-        rng = random.Random((seed, tag).__repr__())
-        return (
-            tuple(inst.random_element(rng) for _ in range(arity))
-            for _ in range(samples)
-        )
 
     left = right = inverse_iso = conj = True
     for a, b, x in tuples_of(3, "classify"):

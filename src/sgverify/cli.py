@@ -11,6 +11,9 @@ sweeps over the default corpus and over files written by `sgverify corpus`,
 but not over hand-edited corpus files.  CSV outputs and the `levy
 --trace-csv` side file are not replay inputs.
 
+A sweep streams its corpus one item at a time; its JSON estimate and its
+CSV rows are both built from the per-item reports of `inequalities`.
+
 Exit codes: 0 all checks pass, 1 a non-degenerate check failed or axiom
 violations were found, 2 usage or configuration errors, 3 a resource limit
 was hit (an exact law needs more states than the state cap allows).
@@ -27,11 +30,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .axioms import verify_axioms
-from .corpus import CorpusSpec, generate_corpus
+from .corpus import CorpusSpec, iter_corpus
 from .inequalities import (
-    DEFAULT_PQ_GRID,
-    DEFAULT_S_GRID,
-    DEFAULT_T_GRID,
     HJParameters,
     check_hj,
     check_hj_simple,
@@ -44,10 +44,11 @@ from .inequalities import (
     check_truncated_quantile_shift,
     check_walk_moment_bound,
     check_walk_quantile_ratio,
-    estimate_moment_growth_constant,
     estimate_quantile_ratio_constant,
-    moment_growth_multiplier,
-    required_moment_growth_constant,
+    moment_growth_reports,
+    moment_vs_quantile_reports,
+    quantile_ratio_reports,
+    sweep_moment_growth,
     sweep_moment_vs_quantile,
 )
 from .laws import EnumerationCapError, sequence_from_config, sequence_to_config
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exhaustive", action="store_true", help="iterate the whole carrier")
     mode.add_argument("--samples", type=int, default=None, help="random tuples per axiom")
     ax.add_argument("--seed", type=int, default=0)
-    ax.add_argument("--tol", type=float, default=None)
+    ax.add_argument("--tol", type=_finite, default=None)
     ax.add_argument("--out", default=None)
 
     ck = sub.add_parser("check", help="evaluate inequalities on a sequence config")
@@ -238,18 +239,17 @@ def _p(flags: dict):
     return _exponent(flags.get("p", 1))
 
 
+def _bare(rep: RatioReport, params: dict) -> RatioReport:
+    """`rep` with `params` in place of its own, and without components."""
+    return RatioReport(rep.name, params, rep.ratio, degenerate=rep.degenerate)
+
+
 def _growth_required(seq, params: dict, eps) -> RatioReport:
     """The constant the first moment-growth bound needs on `seq`, at the
     p0, p and q of `params`."""
-    required, _ = required_moment_growth_constant(
-        seq, params["p0"], _exponent(params["p"]), _exponent(params["q"]), eps
-    )
-    return RatioReport(
-        "moment-growth-required",
-        params,
-        math.inf if required is None else required,
-        degenerate="identically zero denominators" if required is None else None,
-    )
+    pq = [(_exponent(params["p"]), _exponent(params["q"]))]
+    (rep,) = moment_growth_reports(seq, params["p0"], eps, pq)
+    return _bare(rep, params)
 
 
 def _moment_growth(seq, f: dict) -> list:
@@ -386,84 +386,35 @@ def sweep_config(args) -> dict:
     }
 
 
-def _indexed(rep: RatioReport, index: int) -> RatioReport:
-    return RatioReport(
-        rep.name, rep.params | {"corpus_index": index}, rep.ratio, degenerate=rep.degenerate
-    )
-
-
-def _sweep_rows(constant: str, corpus, p0: Fraction, eps: float) -> list:
-    """One ratio report per (instance, grid point) for CSV export."""
-    rows = []
-    for index, seq in enumerate(corpus):
-        if constant == "c1":
-            for t in DEFAULT_T_GRID:
-                for s in DEFAULT_S_GRID:
-                    if t <= s:
-                        rows.append(_indexed(check_walk_quantile_ratio(seq, t, s), index))
-        elif constant == "approx-ratios":
-            for p in (1, 2):
-                rows.extend(_indexed(rep, index) for rep in check_moment_vs_quantile(seq, p))
-        else:
-            for p, q in DEFAULT_PQ_GRID:
-                params = {"p0": p0, "p": p, "q": q, "corpus_index": index}
-                rows.append(_growth_required(seq, params, eps))
-    return rows
-
-
-class _ReleasingCorpus:
-    """The corpus, each sequence releasing its derived laws once a loop
-    moves past it.  A sweep then holds only the laws the sequences cache as
-    properties, not the frames, tails, capped laws and moments of every
-    item at once."""
-
-    def __init__(self, seqs: list):
-        self.seqs = seqs
-
-    def __len__(self) -> int:
-        return len(self.seqs)
-
-    def __iter__(self):
-        for seq in self.seqs:
-            yield seq
-            seq.release_derived()
-
-
 def run_sweep(config: dict, args):
+    """One pass over the corpus, which is read one item at a time."""
     source = getattr(args, "corpus", "default")
     if source == "default":
-        seqs = generate_corpus(CorpusSpec.from_config(config["corpus"]))
+        corpus = iter_corpus(CorpusSpec.from_config(config["corpus"]))
     else:
-        seqs = [sequence_from_config(c) for c in _read_json(source)["sequences"]]
-    corpus = _ReleasingCorpus(seqs)
+        corpus = (sequence_from_config(c) for c in _read_json(source)["sequences"])
     constant, seed = config["constant"], config["seed"]
     p0, eps = _rational(config["p0"]), float(config["eps"])
     if getattr(args, "format", "json") == "csv":
-        return {"results": _sweep_rows(constant, corpus, p0, eps)}, 0
+        # one row per item and grid point; p0 stays a Fraction here, so a row
+        # writes it as a string where the JSON witness writes a number
+        item_reports = {
+            "c": lambda seq: moment_growth_reports(seq, p0, eps),
+            "c1": quantile_ratio_reports,
+            "approx-ratios": moment_vs_quantile_reports,
+        }[constant]
+        rows = [
+            _bare(rep, rep.params | {"corpus_index": index})
+            for index, seq in enumerate(corpus)
+            for rep in item_reports(seq)
+        ]
+        return {"results": rows}, 0
     if constant == "c1":
         return {"results": estimate_quantile_ratio_constant(corpus, seed=seed)}, 0
     if constant == "approx-ratios":
         return {"results": sweep_moment_vs_quantile(corpus, seed=seed)}, 0
-    p0 = _exponent(p0)
-    estimate = estimate_moment_growth_constant(corpus, p0=p0, eps=eps, seed=seed)
-    multiplier = moment_growth_multiplier(p0, eps)
-    cprime = estimate.value * multiplier
-    violations = 0
-    checked = 0
-    for seq in corpus:
-        for p, q in DEFAULT_PQ_GRID:
-            _, second = check_moment_growth(seq, p0, p, q, eps, estimate.value, cprime)
-            checked += 1
-            if not second.holds:
-                violations += 1
-    results = {
-        "estimate": estimate,
-        "multiplier": multiplier,
-        "cprime": cprime,
-        "second_bound_checked": checked,
-        "second_bound_violations": violations,
-    }
-    return {"results": results}, 1 if violations else 0
+    results = sweep_moment_growth(corpus, p0=_exponent(p0), eps=eps, seed=seed)
+    return {"results": results}, 1 if results["second_bound_violations"] else 0
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +452,7 @@ def corpus_config(args) -> CorpusSpec:
 
 
 def run_corpus(config: dict, args):
-    corpus = generate_corpus(CorpusSpec.from_config(config))
+    corpus = iter_corpus(CorpusSpec.from_config(config))
     return {"sequences": [sequence_to_config(seq) for seq in corpus]}, 0
 
 

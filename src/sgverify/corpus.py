@@ -3,7 +3,8 @@
 A corpus spec pins (count, length and support caps, instance mix, seed);
 item i is generated from a child seed derived from (seed, i), so corpora are
 byte-identical across runs and machines, and any prefix of a corpus is
-itself reproducible.
+itself reproducible.  `iter_corpus` yields the items one at a time, which is
+how sweeps read them; `generate_corpus` collects them into a list.
 """
 
 from __future__ import annotations
@@ -108,18 +109,20 @@ def generate_sequence(
     return IndependentSequence.build(inst, variables, label=label)
 
 
-def generate_corpus(spec: CorpusSpec) -> list:
-    """All sequences of the corpus, instance kinds in round-robin order."""
+def iter_corpus(spec: CorpusSpec):
+    """The sequences of the corpus one at a time, instance kinds in
+    round-robin order; nothing keeps an item once the caller drops it."""
     instances = [parse_instance(s) for s in spec.instances]
-    corpus = []
     for index in range(spec.count):
         inst = instances[index % len(instances)]
         rng = random.Random(derive_seed(spec.seed, "corpus", index))
         label = f"{inst.spec}#{index}"
-        corpus.append(
-            generate_sequence(inst, rng, spec.max_len, spec.max_support, label)
-        )
-    return corpus
+        yield generate_sequence(inst, rng, spec.max_len, spec.max_support, label)
+
+
+def generate_corpus(spec: CorpusSpec) -> list:
+    """All sequences of the corpus, as a list."""
+    return list(iter_corpus(spec))
 
 
 def threshold_candidates(law: ScalarLaw) -> list:

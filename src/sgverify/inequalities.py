@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,13 +118,13 @@ def _peak_laws(seq: IndependentSequence, engine: str, trials: int, seed: int):
     raise ValueError(f"unknown engine {engine!r} (use 'exact' or 'mc')")
 
 
-def _tail(law: ScalarLaw, x):
-    """Tail value; wrapped with its binomial variance for empirical laws."""
-    t = law.tail(x)
+def _probability(law: ScalarLaw, prob):
+    """A probability read from `law`; wrapped with its binomial variance when
+    the law is empirical."""
     if law.is_empirical:
-        p = float(t)
+        p = float(prob)
         return Uncertain(p, p * (1.0 - p) / law.trials)
-    return t
+    return prob
 
 
 def _separated_basepoints_note(seq: IndependentSequence) -> str | None:
@@ -134,19 +135,11 @@ def _separated_basepoints_note(seq: IndependentSequence) -> str | None:
     return "basepoints differ; the block bound presumes a common basepoint"
 
 
-def _stay(law: ScalarLaw, x):
-    t = law.prob_le(x)
-    if law.is_empirical:
-        p = float(t)
-        return Uncertain(p, p * (1.0 - p) / law.trials)
-    return t
-
-
 def _is_zero(value) -> bool:
     return value.value == 0 if isinstance(value, Uncertain) else value == 0
 
 
-def _chain_report(name, params, links, engine=None, note=None, tol=None):
+def _chain_report(name, params, links):
     """Report for a chain q_0 <= q_1 <= ... <= q_m; slack is the worst link.
 
     A link whose two ends are the same float infinity (both beyond the float
@@ -166,10 +159,8 @@ def _chain_report(name, params, links, engine=None, note=None, tol=None):
         arithmetic = "rational"
     else:
         slack = float(slack)
-        holds = slack >= -(FLOAT_SLACK_TOL if tol is None else tol)
+        holds = slack >= -FLOAT_SLACK_TOL
         arithmetic = "float"
-    engine = dict(engine or {"kind": "exact"})
-    engine["arithmetic"] = arithmetic
     return InequalityReport(
         name=name,
         params=params,
@@ -177,10 +168,9 @@ def _chain_report(name, params, links, engine=None, note=None, tol=None):
         rhs=values[-1],
         slack=slack,
         holds=holds,
-        engine=engine,
+        engine={"kind": "exact", "arithmetic": arithmetic},
         degenerate="infinite-links" if holds and len(gaps) < len(links) - 1 else None,
         components=dict(links),
-        note=note,
     )
 
 
@@ -280,21 +270,21 @@ def check_hj(
     tight = tight_block_set(walk, params)
     report_params = params.to_params() | {"tight_blocks": sorted(tight)}
 
-    lhs = _tail(walk, threshold)
+    lhs = _probability(walk, walk.tail(threshold))
     product = 1
     degenerate = None
     for i, (n_i, t_i) in enumerate(zip(sizes, thresholds), start=1):
         if i in tight:
-            product = product * _tail(walk, t_i) ** n_i
+            product = product * _probability(walk, walk.tail(t_i)) ** n_i
         else:
-            stay = _stay(walk, t_i)
+            stay = _probability(walk, walk.prob_le(t_i))
             if _is_zero(stay):
                 degenerate = f"zero stay probability at threshold {t_i}"
                 break
-            ratio = _tail(walk, t_i) / stay
+            ratio = _probability(walk, walk.tail(t_i)) / stay
             product = product * ratio**n_i * Fraction(1, math.factorial(n_i))
     if degenerate is None and 1 not in tight:
-        product = _stay(walk, thresholds[0]) * product
+        product = _probability(walk, walk.prob_le(thresholds[0])) * product
 
     if degenerate is not None:
         return make_report(
@@ -305,7 +295,7 @@ def check_hj(
             engine=engine_info,
             degenerate=degenerate,
         )
-    rhs = _tail(step, params.shift) + product
+    rhs = _probability(step, step.tail(params.shift)) + product
     return make_report(
         "hj",
         report_params,
@@ -336,8 +326,8 @@ def check_hj_simple(
         raise ValueError("threshold must be positive")
     walk, step, engine_info = _peak_laws(seq, engine, trials, seed)
     params = {"repeats": repeats, "t": t}
-    lhs = _tail(walk, (3 * repeats - 1) * t)
-    stay = _stay(walk, t)
+    lhs = _probability(walk, walk.tail((3 * repeats - 1) * t))
+    stay = _probability(walk, walk.prob_le(t))
     if _is_zero(stay):
         return make_report(
             "hj-simple",
@@ -347,8 +337,9 @@ def check_hj_simple(
             engine=engine_info,
             degenerate=f"zero stay probability at threshold {t}",
         )
-    ratio = _tail(walk, t) / stay
-    rhs = ratio**repeats * Fraction(1, math.factorial(repeats)) + _tail(step, t)
+    ratio = _probability(walk, walk.tail(t)) / stay
+    step_tail = _probability(step, step.tail(t))
+    rhs = ratio**repeats * Fraction(1, math.factorial(repeats)) + step_tail
     return make_report(
         "hj-simple",
         params,
@@ -733,6 +724,25 @@ def required_moment_growth_constant(seq: IndependentSequence, p0, p, q, eps):
     return float(parts["walk_root_q"]) / denom, parts
 
 
+def _combined_growth_sides(parts: dict) -> tuple:
+    """The second growth bound reads left <= c' * q/max(p, log(eps+q)) * base;
+    (left, base) from the components of the first bound at p and q."""
+    return float(parts["walk_root_q"]), float(parts["walk_root_p"]) + float(parts["step_root_q"])
+
+
+def _combined_growth_report(sides, p0, p, q, eps, cprime, components=None) -> InequalityReport:
+    """The second growth bound at c' on the (left, base) that
+    `_combined_growth_sides` gives; the parameters are taken as validated."""
+    lhs, base = sides
+    return make_report(
+        "moment-growth-combined",
+        {"p0": p0, "p": p, "q": q, "eps": eps, "cprime": cprime},
+        lhs,
+        float(cprime) * moment_growth_factor(p, q, eps) * base,
+        components=components,
+    )
+
+
 def check_moment_growth(seq: IndependentSequence, p0, p, q, eps, c, cprime=None):
     """The two moment-growth bounds with explicit constants:
 
@@ -749,40 +759,92 @@ def check_moment_growth(seq: IndependentSequence, p0, p, q, eps, c, cprime=None)
         cprime = float(c) * moment_growth_multiplier(p0, eps)
     parts = moment_growth_components(seq, p, q)
     factor = moment_growth_factor(p, q, eps)
-    lhs = float(parts["walk_root_q"])
-    rhs1 = float(c) * factor * (
+    rhs = float(c) * factor * (
         float(parts["walk_root_p"]) + float(parts["step_quantile"])
     ) + float(c) * float(parts["step_root_q"])
-    rhs2 = (
-        float(cprime)
-        * factor
-        * (float(parts["walk_root_p"]) + float(parts["step_root_q"]))
-    )
-    base_params = {"p0": p0, "p": p, "q": q, "eps": eps}
     first = make_report(
         "moment-growth",
-        base_params | {"c": c},
-        lhs,
-        rhs1,
+        {"p0": p0, "p": p, "q": q, "eps": eps, "c": c},
+        float(parts["walk_root_q"]),
+        rhs,
         components=parts,
     )
-    second = make_report(
-        "moment-growth-combined",
-        base_params | {"cprime": cprime},
-        lhs,
-        rhs2,
-        components=parts,
-    )
-    return first, second
+    sides = _combined_growth_sides(parts)
+    return first, _combined_growth_report(sides, p0, p, q, eps, cprime, components=parts)
 
 
 # ---------------------------------------------------------------------------
-# corpus estimators
+# corpus estimators: one pass over any iterable of sequences, keeping no item
+# once past it, on the reports one function gives per item and constant
 
 
 DEFAULT_PQ_GRID = ((1, 1), (1, 2), (2, 4), (1, 8))
 DEFAULT_T_GRID = (Fraction(1, 100), Fraction(1, 20), Fraction(1, 10))
 DEFAULT_S_GRID = (Fraction(1, 20), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2))
+
+
+def quantile_ratio_reports(
+    seq: IndependentSequence, t_grid=DEFAULT_T_GRID, s_grid=DEFAULT_S_GRID
+):
+    """The constant the quantile comparison requires of `seq` at each grid
+    point with t <= s."""
+    for t in t_grid:
+        for s in s_grid:
+            if t <= s:
+                yield check_walk_quantile_ratio(seq, t, s)
+
+
+def moment_vs_quantile_reports(seq: IndependentSequence, p_grid=(1, 2)):
+    """Both approximation ratios of `seq` at each order of the grid."""
+    for p in p_grid:
+        yield from check_moment_vs_quantile(seq, p)
+
+
+def moment_growth_reports(seq: IndependentSequence, p0, eps, pq_grid=DEFAULT_PQ_GRID):
+    """The constant the first growth bound requires of `seq` at each (p, q),
+    with the components it comes from; inf, and degenerate, when both sides
+    are identically zero."""
+    for p, q in pq_grid:
+        required, parts = required_moment_growth_constant(seq, p0, p, q, eps)
+        yield RatioReport(
+            "moment-growth-required",
+            {"p0": p0, "p": p, "q": q},
+            math.inf if required is None else required,
+            parts,
+            degenerate="identically zero denominators" if required is None else None,
+        )
+
+
+def _supremum(name, corpus, item_reports, grid_size, seed, extra_params=None):
+    """The largest ratio among the non-degenerate reports `item_reports(seq)`
+    gives over one pass of the corpus, with a witness for the first report
+    that reached it; the witness params are the report's plus `extra_params`."""
+    best = -1.0
+    witness: dict = {}
+    skipped = 0
+    size = 0
+    for index, seq in enumerate(corpus):
+        size = index + 1
+        for rep in item_reports(seq):
+            if rep.degenerate:
+                skipped += 1
+            elif rep.ratio > best:
+                best = rep.ratio
+                witness = {
+                    "corpus_index": index,
+                    "sequence": sequence_to_config(seq),
+                    "params": rep.params | (extra_params or {}),
+                    "ratio": rep.ratio,
+                }
+    return ConstantEstimate(
+        name=name,
+        value=best,
+        witness=witness,
+        corpus_size=size,
+        grid_size=grid_size,
+        seed=seed,
+        skipped_degenerate=skipped,
+    )
 
 
 def estimate_quantile_ratio_constant(
@@ -793,32 +855,13 @@ def estimate_quantile_ratio_constant(
 ) -> ConstantEstimate:
     """Supremal required constant for the walk-quantile comparison over a
     corpus and a (t, s) grid; monotone under corpus inclusion."""
-    best = -1.0
-    witness: dict = {}
-    skipped = 0
-    grid = [(t, s) for t in t_grid for s in s_grid if t <= s]
-    for index, seq in enumerate(corpus):
-        for t, s in grid:
-            rep = check_walk_quantile_ratio(seq, t, s)
-            if rep.degenerate:
-                skipped += 1
-                continue
-            if rep.ratio > best:
-                best = rep.ratio
-                witness = {
-                    "corpus_index": index,
-                    "sequence": sequence_to_config(seq),
-                    "params": rep.params,
-                    "ratio": rep.ratio,
-                }
-    return ConstantEstimate(
-        name="walk-quantile-ratio-constant",
-        value=best,
-        witness=witness,
-        corpus_size=len(corpus),
-        grid_size=len(grid),
-        seed=seed,
-        skipped_degenerate=skipped,
+    t_grid, s_grid = tuple(t_grid), tuple(s_grid)
+    return _supremum(
+        "walk-quantile-ratio-constant",
+        corpus,
+        lambda seq: quantile_ratio_reports(seq, t_grid, s_grid),
+        sum(t <= s for t in t_grid for s in s_grid),
+        seed,
     )
 
 
@@ -831,32 +874,47 @@ def estimate_moment_growth_constant(
 ) -> ConstantEstimate:
     """Supremal required constant for the first moment-growth bound over a
     corpus and a (p, q) grid; monotone under corpus inclusion."""
-    best = -1.0
-    witness: dict = {}
-    skipped = 0
-    for index, seq in enumerate(corpus):
-        for p, q in pq_grid:
-            required, _ = required_moment_growth_constant(seq, p0, p, q, eps)
-            if required is None:
-                skipped += 1
-                continue
-            if required > best:
-                best = required
-                witness = {
-                    "corpus_index": index,
-                    "sequence": sequence_to_config(seq),
-                    "params": {"p0": p0, "p": p, "q": q, "eps": eps},
-                    "ratio": required,
-                }
-    return ConstantEstimate(
-        name="moment-growth-constant",
-        value=best,
-        witness=witness,
-        corpus_size=len(corpus),
-        grid_size=len(tuple(pq_grid)),
-        seed=seed,
-        skipped_degenerate=skipped,
+    return _supremum(
+        "moment-growth-constant",
+        corpus,
+        lambda seq: moment_growth_reports(seq, p0, eps, pq_grid),
+        len(tuple(pq_grid)),
+        seed,
+        {"eps": eps},
     )
+
+
+def sweep_moment_growth(corpus, p0, eps, seed: int | None = None) -> dict:
+    """Estimate c on the default (p, q) grid as `estimate_moment_growth_constant`
+    does, then check the second growth bound at c' = c * multiplier on every
+    item and grid point, from the sides recorded in the same pass."""
+    for p, q in DEFAULT_PQ_GRID:
+        _validate_growth_params(p0, p, q, eps, second=True)
+    sides = {pq: array("d") for pq in DEFAULT_PQ_GRID}  # flat (left, base) pairs
+
+    def item_reports(seq):
+        for rep in moment_growth_reports(seq, p0, eps):
+            pq = rep.params["p"], rep.params["q"]
+            sides[pq].extend(_combined_growth_sides(rep.components))
+            yield rep
+
+    estimate = _supremum(
+        "moment-growth-constant", corpus, item_reports, len(DEFAULT_PQ_GRID), seed, {"eps": eps}
+    )
+    multiplier = moment_growth_multiplier(p0, eps)
+    cprime = estimate.value * multiplier
+    checked = violations = 0
+    for (p, q), flat in sides.items():
+        for pair in zip(flat[::2], flat[1::2]):
+            checked += 1
+            violations += not _combined_growth_report(pair, p0, p, q, eps, cprime).holds
+    return {
+        "estimate": estimate,
+        "multiplier": multiplier,
+        "cprime": cprime,
+        "second_bound_checked": checked,
+        "second_bound_violations": violations,
+    }
 
 
 def sweep_moment_vs_quantile(corpus, p_grid=(1, 2), seed: int | None = None) -> dict:
@@ -871,23 +929,19 @@ def sweep_moment_vs_quantile(corpus, p_grid=(1, 2), seed: int | None = None) -> 
     }
     witnesses: dict = {}
     degenerate = 0
+    size = 0
     for index, seq in enumerate(corpus):
-        for p in p_grid:
-            for rep in check_moment_vs_quantile(seq, p):
-                if rep.degenerate:
-                    degenerate += 1
-                    continue
-                entry = stats[rep.name]
-                if rep.ratio > entry["max"]:
-                    entry["max"] = rep.ratio
-                    witnesses[f"{rep.name}-max"] = {
-                        "corpus_index": index,
-                        "params": rep.params,
-                        "ratio": rep.ratio,
-                    }
-                if rep.ratio < entry["min"]:
-                    entry["min"] = rep.ratio
-                    witnesses[f"{rep.name}-min"] = {
+        size = index + 1
+        for rep in moment_vs_quantile_reports(seq, p_grid):
+            if rep.degenerate:
+                degenerate += 1
+                continue
+            entry = stats[rep.name]
+            for end, beats in (("max", rep.ratio > entry["max"]),
+                               ("min", rep.ratio < entry["min"])):
+                if beats:
+                    entry[end] = rep.ratio
+                    witnesses[f"{rep.name}-{end}"] = {
                         "corpus_index": index,
                         "params": rep.params,
                         "ratio": rep.ratio,
@@ -895,7 +949,7 @@ def sweep_moment_vs_quantile(corpus, p_grid=(1, 2), seed: int | None = None) -> 
     return {
         "ratios": stats,
         "witnesses": witnesses,
-        "corpus_size": len(corpus),
+        "corpus_size": size,
         "p_grid": list(p_grid),
         "seed": seed,
         "skipped_degenerate": degenerate,

@@ -404,14 +404,6 @@ class IndependentSequence:
             memo[key] = build()
         return memo[key]
 
-    def release_derived(self) -> None:
-        """Drop what `derived` keeps and the moments memoised on the cached
-        laws; the cached laws themselves stay."""
-        self.__dict__.pop("_derived", None)
-        for value in self.__dict__.values():
-            if isinstance(value, ScalarLaw):
-                value.__dict__.pop("_moments", None)
-
     @cached_property
     def magnitude_laws(self) -> tuple:
         """Law of each step's magnitude d(z0, z0 * x); basepoint-independent."""

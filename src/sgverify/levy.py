@@ -10,6 +10,8 @@ proxy (threshold fractions below), labeled as such in reports.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -110,10 +112,10 @@ class WalkConfig:
     def __post_init__(self):
         if self.horizon < 2 or self.paths < 1:
             raise ValueError("need horizon >= 2 and paths >= 1")
-        if not self.eps_grid or list(self.eps_grid) != sorted(self.eps_grid, reverse=True):
-            raise ValueError("eps grid must be positive and decreasing")
-        if min(self.eps_grid) <= 0:
-            raise ValueError("eps grid must be positive and decreasing")
+        eps = self.eps_grid
+        finite = all(isinstance(e, numbers.Real) and 0 < e < math.inf for e in eps)
+        if not eps or not finite or list(eps) != sorted(eps, reverse=True):
+            raise ValueError("eps grid must be finite, positive and decreasing")
         if not self.windows or max(self.windows) >= self.horizon or min(self.windows) < 1:
             raise ValueError("window starts must lie in 1..horizon-1")
 

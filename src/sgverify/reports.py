@@ -198,7 +198,6 @@ def make_report(
     lhs,
     rhs,
     engine: dict | None = None,
-    tol: float | None = None,
     degenerate: str | None = None,
     components: dict | None = None,
     note: str | None = None,
@@ -248,8 +247,7 @@ def make_report(
     else:
         slack = float(rhs) - float(lhs)
         engine["arithmetic"] = "float"
-        allowance = FLOAT_SLACK_TOL if tol is None else tol
-        holds = slack >= -allowance
+        holds = slack >= -FLOAT_SLACK_TOL
     return InequalityReport(
         name=name,
         params=params,

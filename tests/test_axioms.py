@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -84,6 +85,23 @@ def test_word_metric_is_left_invariant_only():
     assert cls.consistent  # one property held: the two-imply-all rule is vacuous
     # the product bound is the reformulation of the inverse-isometry property
     assert cls.product_triangle == cls.inverse_isometry == False  # noqa: E712
+
+
+@pytest.mark.parametrize(
+    "spec, kwargs, message",
+    [
+        ("int", {"samples": 0}, "samples must be a positive integer"),
+        ("int", {"samples": -3}, "samples must be a positive integer"),
+        ("cyclic:3", {"tol": math.nan}, "tolerance must be a finite number >= 0"),
+        ("cyclic:3", {"tol": math.inf}, "tolerance must be a finite number >= 0"),
+        ("cyclic:3", {"tol": -1.0}, "tolerance must be a finite number >= 0"),
+        ("cyclic:3", {"tol": "nan"}, "tolerance must be a finite number >= 0"),
+    ],
+)
+@pytest.mark.parametrize("check", [verify_axioms, classify_group_metric])
+def test_bad_samples_and_tolerances_are_rejected(check, spec, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        check(parse_instance(spec), **kwargs)
 
 
 def test_classify_rejects_non_groups():

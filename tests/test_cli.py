@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -364,6 +366,135 @@ def test_sweep_same_seed_byte_identical(tmp_path):
     run(argv + ["--out", str(a)])
     run(argv + ["--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of each sweep's output over the first 300 default-corpus items and
+# over a 40-item `sgverify corpus` file, recorded before sweeps became one
+# streaming pass; CSV rows keep their own quirks (p0 as the string "1").
+SWEEP_DIGESTS = {
+    ("c", "json", "default"): "25bddce6c80334b5d51fab21269c2f78c7a03ca3c69740dae154c09ecff2e7e8",
+    ("c", "csv", "default"): "35b2e065668213f7e7dce4e1a57c58f5654162b141432691354819c2ec1efd22",
+    ("c1", "json", "default"): "c293b344de50a99b506666a642042f709c0fc7ff8dc1742f6514a4293fed5f3f",
+    ("c1", "csv", "default"): "84d4bc3f78f83f765d4d01eca3fd42ff481ecbb9ad0b96fe91bccbfbf080f5c4",
+    ("approx-ratios", "json", "default"):
+        "fd4a7c41b384fb51359dd030f0b13e8820cfcfadddadaf350395c7990d21c9d8",
+    ("approx-ratios", "csv", "default"):
+        "30c2cc4f4a242625ff793569ec0a1bb359597ec4e7f982e95c9ead7a49436be0",
+    ("c", "json", "file"): "c24168d966e84bdb8b5c3e59df4e50a8fb0d886c50862504671c9eb750cc8523",
+    ("c", "csv", "file"): "b268d93c08c2f1cba69e5370f38f68e8d6d79933dcec5aa149768c3a6615756e",
+    ("c1", "json", "file"): "23d766657341133127703c435e1a8eaa534d43cded250db0fdb8861e04d36d43",
+    ("c1", "csv", "file"): "b77820335cdd75d373b2e9262034d2a2983d9beda3a1fbb098b96da505493d17",
+    ("approx-ratios", "json", "file"):
+        "c49e125513c48596f8dd1af4008545d8b8b252d8bd5952051174dc80a6e8ef3d",
+    ("approx-ratios", "csv", "file"):
+        "8d6af1cee132053b3e0129710584beca5e859a14d118a177e9c0030d2e215bde",
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_sweep_outputs_keep_their_digests(tmp_path):
+    corpus_file = tmp_path / "corpus.json"
+    assert run(["corpus", "--count", "40", "--seed", "5", "--out", str(corpus_file)]) == 0
+    sources = {"default": ["--count", "300"], "file": ["--corpus", str(corpus_file)]}
+    for (constant, fmt, source), digest in SWEEP_DIGESTS.items():
+        out = tmp_path / f"{constant}-{source}.{fmt}"
+        argv = ["sweep", "--constant", constant, *sources[source], "--format", fmt]
+        assert run(argv + ["--out", str(out)]) == 0
+        assert sha256(out) == digest, (constant, fmt, source)
+
+
+def test_sweep_c_rejects_eps_for_the_second_bound_only_in_json(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--constant", "c", "--count", "5", "--eps", "0.5", "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: second growth bound needs eps >= min(1, e - p0); got eps = 0.5 with p0 = 1\n"
+    )
+    assert not out.exists()
+    # the CSV rows hold only the first bound's required constants
+    assert run(argv + ["--format", "csv"]) == 0
+    assert sha256(out) == "e55fdab2aea48e32d7ba9a45db39232620025a34e29d9993a6bace5883c04693"
+
+
+# the checker each sweep calls first on a corpus item
+SWEEP_CHECKERS = {
+    "c": "moment_growth_components",
+    "c1": "check_walk_quantile_ratio",
+    "approx-ratios": "check_moment_vs_quantile",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("constant", sorted(SWEEP_CHECKERS))
+def test_sweep_keeps_at_most_two_corpus_items_alive(tmp_path, monkeypatch, constant, fmt):
+    corpus_file = tmp_path / "corpus.json"
+    assert run(["corpus", "--count", "12", "--seed", "8", "--out", str(corpus_file)]) == 0
+    checker = getattr(inequalities, SWEEP_CHECKERS[constant])
+    seen = weakref.WeakSet()
+    alive = []
+
+    def tracked(seq, *args):
+        if seq not in seen:
+            seen.add(seq)
+            gc.collect()
+            alive.append(len(seen))
+        return checker(seq, *args)
+
+    monkeypatch.setattr(inequalities, SWEEP_CHECKERS[constant], tracked)
+    # older objects are left out of each collection, which keeps it fast
+    gc.freeze()
+    try:
+        for source in (["--count", "12"], ["--corpus", str(corpus_file)]):
+            alive.clear()
+            argv = ["sweep", "--constant", constant, *source, "--format", fmt]
+            assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+            assert len(alive) == 12
+            assert max(alive) <= 2, (source, alive)
+    finally:
+        gc.unfreeze()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["axioms", "int", "--samples", "0"], "samples must be a positive integer, got 0"),
+        (["axioms", "int", "--samples", "-3"], "samples must be a positive integer, got -3"),
+        (["axioms", "cyclic:3", "--exhaustive", "--tol", "-1"],
+         "tolerance must be a finite number >= 0, got -1.0"),
+        (["levy", "--eps-grid", "0.1,nan"], "eps grid must be finite, positive and decreasing"),
+    ],
+)
+def test_bad_numeric_input_is_a_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_axioms_non_finite_tol_is_a_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(["axioms", "cyclic:3", "--exhaustive", "--tol", value])
+    assert err.value.code == 2
+    assert f"argument --tol: not a finite number: '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("axioms", {"instance": "cyclic:3", "samples": None, "seed": 0, "tol": "nan"}),
+        ("axioms", {"instance": "int", "samples": 0, "seed": 0, "tol": None}),
+        ("levy", levy.WalkConfig().to_jsonable() | {"eps_grid": [0.1, "nan"]}),
+    ],
+)
+def test_replayed_bad_numeric_config_is_a_usage_error(tmp_path, capsys, command, config):
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps({"command": command, "config": config}))
+    assert run(["replay", str(edited)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_levy_converging_and_diverging(tmp_path):

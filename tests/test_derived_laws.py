@@ -65,19 +65,6 @@ def test_replace_copy_rebuilds_its_laws():
     )
 
 
-def test_release_drops_derived_laws_and_moments_but_keeps_cached_laws():
-    posreal = parse_instance("posreal")
-    var = DiscreteDistribution.of([(F(1, 2), F(1, 3)), (F(3), F(2, 3))])
-    seq = IndependentSequence.build(posreal, [var, var, var])
-    before = check_spike_moment_bound(seq, F(9, 10), 2)
-    walk = seq.walk_peak_law
-    walk.moment(2)
-    seq.release_derived()
-    assert "_derived" not in seq.__dict__ and "_moments" not in walk.__dict__
-    assert seq.walk_peak_law is walk
-    assert same(check_spike_moment_bound(seq, F(9, 10), 2), before)
-
-
 def test_truncation_that_replaces_no_step_keeps_the_frame_law():
     line = IntegerAdditive()
     seq = IndependentSequence.build(

@@ -28,10 +28,12 @@ from sgverify import (
     moment_growth_multiplier,
     parse_instance,
     required_moment_growth_constant,
+    sweep_moment_growth,
     tight_block_set,
 )
+from sgverify import inequalities
 from sgverify.cli import default_suite
-from sgverify.inequalities import _chain_report
+from sgverify.inequalities import DEFAULT_PQ_GRID, _chain_report
 from sgverify.corpus import CorpusSpec, generate_corpus, generate_sequence, random_hj_parameters
 from sgverify.reports import FLOAT_SLACK_TOL, InequalityReport, is_rational_number
 
@@ -276,6 +278,9 @@ def test_estimate_c1_monotone_in_corpus():
     big = estimate_quantile_ratio_constant(corpus)
     assert big.value >= small.value
     assert math.isfinite(big.value)
+    # a one-shot iterable of the corpus gives the same estimate and size
+    assert estimate_quantile_ratio_constant(iter(corpus)) == big
+    assert big.corpus_size == 60
     # the witness reproduces its reported ratio
     rep = check_walk_quantile_ratio(
         corpus[big.witness["corpus_index"]],
@@ -376,6 +381,10 @@ def test_required_growth_constant_worked_example():
     factor = 1 / math.log(1 + math.log(16))
     assert req == pytest.approx(1.5 / (factor * 2.5 + 1), abs=1e-12)
     assert parts["step_quantile"] == 1
+    # second bound: E[peak] <= c' * factor * (E[peak] + E[step peak])
+    _, second = check_moment_growth(rademacher_seq(2), 1, 1, 1, math.log(16), c=1.0, cprime=2.0)
+    assert second.lhs == 1.5
+    assert second.rhs == pytest.approx(2.0 * factor * (1.5 + 1), abs=1e-12)
 
 
 def test_growth_bounds_hold_with_required_constant():
@@ -413,6 +422,44 @@ def test_estimate_c_monotone_and_finite():
     big = estimate_moment_growth_constant(corpus)
     assert big.value >= small.value
     assert math.isfinite(big.value) and big.value > 0
+    assert estimate_moment_growth_constant(iter(corpus)) == big
+    assert big.corpus_size == 40
+
+
+@pytest.mark.parametrize(
+    "p0, eps, shrink",
+    [
+        (1, math.log(16), 1.0),
+        (1, 1.0, 1.0),
+        (0.5, 1.5, 1.0),
+        (1, math.log(16), 0.03),
+        (1, 1.0, 0.02),
+    ],
+)
+def test_sweep_c_checks_the_second_bound_as_check_moment_growth_does(
+    monkeypatch, p0, eps, shrink
+):
+    # a shrunken multiplier makes some, not all, items violate the second bound
+    multiplier = moment_growth_multiplier(p0, eps) * shrink
+    monkeypatch.setattr(inequalities, "moment_growth_multiplier", lambda p0, eps: multiplier)
+    corpus = generate_corpus(CorpusSpec(count=40, seed=18))
+    # the reference: estimate c first, then check every item again
+    estimate = estimate_moment_growth_constant(corpus, p0=p0, eps=eps)
+    cprime = estimate.value * multiplier
+    seconds = [
+        check_moment_growth(seq, p0, p, q, eps, estimate.value, cprime)[1]
+        for seq in corpus
+        for p, q in DEFAULT_PQ_GRID
+    ]
+    violations = sum(not rep.holds for rep in seconds)
+    assert (0 < violations < len(seconds)) == (shrink < 1)
+    assert sweep_moment_growth(iter(corpus), p0, eps) == {
+        "estimate": estimate,
+        "multiplier": multiplier,
+        "cprime": cprime,
+        "second_bound_checked": len(seconds),
+        "second_bound_violations": violations,
+    }
 
 
 def test_approximation_ratios_bounded_and_positive():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from sgverify import (
@@ -102,6 +104,9 @@ def test_walk_config_validation():
         WalkConfig(eps_grid=(0.01, 0.1))
     with pytest.raises(ValueError):
         WalkConfig(eps_grid=())
+    for grid in ((0.1, math.nan), (math.inf, 0.1), (0.1, "nan")):
+        with pytest.raises(ValueError, match="finite, positive and decreasing"):
+            WalkConfig(eps_grid=grid)
     with pytest.raises(ValueError):
         WalkConfig.from_config({"instance": "torus:1", "mystery": 2})
 
