@@ -393,7 +393,13 @@ def check_mogulskii(seq: IndependentSequence, m: int, a, b):
         return state[0], product(state[1], x)
 
     cap = DEFAULT_ENUMERATION_CAP
-    one, columns, prob = _exact_weights(seq.variables)
+    one, columns, denominator = _exact_weights(seq.variables)
+
+    def prob(total):
+        """A sum of final weights as a probability; an empty sum stays the
+        int 0."""
+        return Fraction(total, denominator) if denominator and total else total
+
     states = {(None, False, False): one}
     stay = []
     for k, atoms in enumerate(columns, 1):

@@ -16,9 +16,16 @@ equal states:
   of execution order and chunking.  A trial's atom in a column of k atoms
   is the number of the first k - 1 cumulative probabilities its uniform
   reaches, counted in k - 1 vectorised comparisons (a binary search above
-  `MAX_THRESHOLD_ATOMS` atoms).  Runs of columns with the same elements
-  share a table from (state, atom) to the next state, so an iid walk steps
-  each transition once per chunk rather than once per column.
+  `MAX_THRESHOLD_ATOMS` atoms).  The distinct (state, atom) pairs of a
+  column are found by flagging their codes in a dense array, not by
+  sorting (`np.unique` only above 2 * batch possible pairs).  Runs of
+  columns with the same elements share a table from (state, atom) to the
+  next state, so an iid walk steps each transition once per chunk rather
+  than once per column.
+
+Laws that come from integer counts (Monte Carlo) or integer numerators
+over one denominator (the rational exact engine) are built by
+`ScalarLaw.from_weights`, which checks their mass in ints.
 
 The statistics of a path x_1..x_n with basepoints z0, z1 are the partial
 products s_j = x_1...x_j, the running peak distance max_{i<=j} d(z1, z0*s_i),
@@ -200,9 +207,62 @@ class ScalarLaw:
         return ScalarLaw(values, probs, kind=kind, trials=trials, seed=seed)
 
     @staticmethod
+    def from_weights(
+        values: Iterable,
+        weights: Iterable[int],
+        denominator: int,
+        kind: str = "exact",
+        trials: int | None = None,
+        seed: int | None = None,
+    ) -> "ScalarLaw":
+        """The law giving each of the distinct `values` the probability
+        weight / denominator, for positive int weights that sum to the int
+        `denominator`.
+
+        The values are sorted once and the mass is checked in ints; the
+        probabilities and tail sums become Fractions only at the end, equal
+        in value and repr to those `from_pairs` makes from the same law.
+        """
+        items = sorted(zip(values, weights), key=itemgetter(0))
+        if not items:
+            raise ValueError("scalar law needs at least one value")
+        if items[0][0] < 0:
+            raise ValueError("scalar law values must be nonnegative")
+        weights = [w for _, w in items]
+        if min(weights) <= 0:
+            raise ValueError(f"weights must be positive, got {min(weights)}")
+        total = sum(weights)
+        if total != denominator:
+            raise ValueError(f"law mass is {Fraction(total, denominator)}, not 1")
+        tails = itertools.accumulate(reversed(weights))
+        suffix = [Fraction(t, denominator) for t in tails][::-1]
+        suffix.append(0)
+        # Built without __init__: __post_init__ would re-check the values
+        # and re-sum the tails as Fractions.
+        law = object.__new__(ScalarLaw)
+        law.__dict__.update(
+            values=tuple(v for v, _ in items),
+            probs=tuple(Fraction(w, denominator) for w in weights),
+            kind=kind,
+            trials=trials,
+            seed=seed,
+            _suffix=tuple(suffix),
+        )
+        return law
+
+    @staticmethod
     def from_counts(counts: dict, trials: int, seed: int | None) -> "ScalarLaw":
-        pairs = [(v, Fraction(c, trials)) for v, c in counts.items()]
-        return ScalarLaw.from_pairs(pairs, kind="empirical", trials=trials, seed=seed)
+        """Empirical law of `trials` trials from value -> count; zero counts
+        are dropped."""
+        kept = [(v, c) for v, c in counts.items() if c]
+        return ScalarLaw.from_weights(
+            [v for v, _ in kept],
+            [c for _, c in kept],
+            trials,
+            kind="empirical",
+            trials=trials,
+            seed=seed,
+        )
 
     @staticmethod
     def point_mass(value) -> "ScalarLaw":
@@ -513,25 +573,24 @@ def path_trace(seq: IndependentSequence, outcome: Sequence) -> PathTrace:
 
 
 def _exact_weights(variables) -> tuple:
-    """(start weight, weighted atoms of each variable, prob) for the exact
-    push-forward; `prob(total)` turns a sum of final weights into a
-    probability, keeping an empty sum the int 0.
+    """(start weight, weighted atoms of each variable, denominator) for the
+    exact push-forward.
 
     When every probability is rational, a variable's atoms carry the integer
     weights p * L, with L the lcm of its probability denominators, so the
-    weights stay integers over the product D of the L's and `prob(total)`
-    is Fraction(total, D).  Otherwise the weights are the products of the
-    probabilities themselves and `prob` is the identity.
+    weights stay integers over the denominator D, the product of the L's.
+    Otherwise the weights are the products of the probabilities themselves
+    and the denominator is None.
     """
     if not all(var.is_rational for var in variables):
-        return Fraction(1), [var.atoms for var in variables], lambda total: total
+        return Fraction(1), [var.atoms for var in variables], None
     columns = []
     denominator = 1
     for var in variables:
         lcm, weights = _over_lcm([p for _, p in var.atoms])
         columns.append(tuple(zip(var.support, weights)))
         denominator *= lcm
-    return 1, columns, lambda total: Fraction(total, denominator) if total else total
+    return 1, columns, denominator
 
 
 def _over_lcm(probs) -> tuple:
@@ -596,7 +655,7 @@ def exact_functional_law(
     start, step, value = _statistic(seq, statistic)
     if not seq.is_exact:
         raise ValueError("exact laws need finitely supported variables")
-    one, columns, prob = _exact_weights(seq.variables)
+    one, columns, denominator = _exact_weights(seq.variables)
     states = {start: one}
     for index, atoms in enumerate(columns, 1):
         states = _advance(states, atoms, step, index, cap)
@@ -604,7 +663,9 @@ def exact_functional_law(
     for state, weight in states.items():
         v = value(state)
         merged[v] = merged.get(v, 0) + weight
-    return ScalarLaw.from_pairs((v, prob(w)) for v, w in merged.items())
+    if denominator is None:
+        return ScalarLaw.from_pairs(merged.items())
+    return ScalarLaw.from_weights(merged.keys(), merged.values(), denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -633,18 +694,24 @@ def monte_carlo_law(
     comparison of the whole column per threshold; wider columns fall back
     to the binary search.
 
-    A discrete column steps once per distinct (state, atom) pair, and a run
-    of consecutive discrete columns whose atoms have the same elements (an
-    epoch; every column of an iid walk) shares one transition table
+    A discrete column steps once per distinct (state, atom) pair, found
+    without sorting: the pair codes state * k + atom lie below
+    states x atoms, so they are flagged in a bool array of that size and
+    read back in ascending order, the order `np.unique` gives; the pairs
+    are stepped and their states interned in that order, and the next
+    state ids gathered through a table of the same size.  A run of
+    consecutive discrete columns whose atoms have the same elements (an
+    epoch; every column of an iid walk) shares one such table
     next[state * k + atom], so each pair is stepped once per epoch.  The
     table is allocated at 2 * batch entries, -1 meaning not yet stepped,
     on the epoch's second column; a column then gathers the next state ids
-    from it and steps only the pairs it has not seen.  An epoch ends at a
-    column with other elements (compared by value and by repr, so 1 and
-    Fraction(1) differ), at a sampler column, and at a column reached with
-    more states x atoms than twice the trials of the chunk; the next column
-    starts a fresh table, so a table never holds more than 2 * chunk_size
-    entries.
+    from it and steps only the pairs it has not seen.  A column that starts
+    afresh (the first of a chunk, or one with new elements) uses its table
+    once.  An epoch ends at a column with other elements (compared by value
+    and by repr, so 1 and Fraction(1) differ), at a sampler column, and at
+    a column reached with more states x atoms than twice the trials of the
+    chunk.  Such a column sorts its pair codes with `np.unique` instead, so
+    a table never holds more than 2 * chunk_size entries.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -677,6 +744,14 @@ def monte_carlo_law(
             reached.append(nxt)
         return i
 
+    def step_pairs(codes, lookup, size):
+        """Step the distinct pairs among `codes` (all below `size`) in
+        ascending order and write their next state ids into `lookup`."""
+        flags = np.zeros(size, dtype=bool)
+        flags[codes] = True
+        pairs = np.flatnonzero(flags)
+        lookup[pairs] = [intern(p) for p in pairs.tolist()]
+
     counts: dict = {}
     done = 0
     while done < trials:
@@ -702,24 +777,30 @@ def monte_carlo_law(
             if k > MAX_THRESHOLD_ATOMS:
                 codes += np.searchsorted(cum, x, side="right")
             else:
+                if k > 2:
+                    # one strided read of the block instead of one per threshold
+                    x = x.copy()
                 for c in cum[:-1].tolist():
                     codes += x >= c
-            if same and len(states) * k <= 2 * batch:
+            size = len(states) * k
+            if same and size <= 2 * batch:
                 if table is None:
                     table = np.full(2 * batch, -1, dtype=np.intp)
                 ids = table[codes]
                 unseen = ids < 0
                 if unseen.any():
-                    missing = np.unique(codes[unseen])
-                    table[missing] = [intern(p) for p in missing.tolist()]
+                    step_pairs(codes[unseen], table, size)
                     ids = table[codes]
             else:
-                pairs, inverse = np.unique(codes, return_inverse=True)
-                interned = {}
-                reached = []
-                new_ids = [intern(p) for p in pairs.tolist()]
-                ids = np.asarray(new_ids, dtype=np.intp)[inverse]
-                table = None
+                interned, reached, table = {}, [], None
+                if size <= 2 * batch:
+                    fresh = np.empty(size, dtype=np.intp)
+                    step_pairs(codes, fresh, size)
+                    ids = fresh[codes]
+                else:
+                    pairs, inverse = np.unique(codes, return_inverse=True)
+                    new_ids = [intern(p) for p in pairs.tolist()]
+                    ids = np.asarray(new_ids, dtype=np.intp)[inverse]
             states = reached
         for state, c in zip(states, np.bincount(ids, minlength=len(states)).tolist()):
             if c:

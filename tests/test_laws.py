@@ -267,6 +267,72 @@ def test_scalar_law_rejects_bad_input():
         DiscreteDistribution.of([(1, F(1, 2)), (1, F(1, 2))])
 
 
+def assert_same_law(law, other):
+    """Equal field by field, in value and in repr, including the tail sums."""
+    for name in ("values", "probs", "_suffix", "kind", "trials", "seed"):
+        mine, theirs = getattr(law, name), getattr(other, name)
+        assert mine == theirs and repr(mine) == repr(theirs), name
+    assert law == other and repr(law) == repr(other)
+
+
+def from_weights_of(law):
+    """`law` rebuilt by `from_weights`, from its atoms in reverse order."""
+    denominator = math.lcm(*(p.denominator for p in law.probs))
+    weights = [p.numerator * (denominator // p.denominator) for p in law.probs]
+    return ScalarLaw.from_weights(
+        law.values[::-1], weights[::-1], denominator, law.kind, law.trials, law.seed
+    )
+
+
+def test_from_weights_matches_from_pairs_on_default_corpus():
+    for seq in generate_corpus(CorpusSpec(count=10_000, seed=1)):
+        for law in (seq.walk_peak_law, seq.end_distance_law, seq.step_peak_law):
+            pairs = ScalarLaw.from_pairs(zip(law.values[::-1], law.probs[::-1]))
+            assert_same_law(law, pairs)
+            assert_same_law(from_weights_of(law), pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.one_of(
+                st.integers(0, 6),
+                st.integers(0, 6).map(float),
+                st.floats(0, 6, allow_nan=False),
+            ),
+            st.integers(0, 50),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    seed=st.one_of(st.none(), st.integers(0, 2**63 - 1)),
+)
+def test_from_counts_matches_from_pairs(entries, seed):
+    # equal int and float keys share one count, under the first key seen
+    counts = {}
+    for value, count in entries:
+        counts[value] = counts.get(value, 0) + count
+    trials = sum(counts.values())
+    if not trials:
+        return
+    law = ScalarLaw.from_counts(counts, trials, seed)
+    pairs = [(v, F(c, trials)) for v, c in counts.items()]
+    reference = ScalarLaw.from_pairs(pairs, kind="empirical", trials=trials, seed=seed)
+    assert_same_law(law, reference)
+
+
+def test_from_weights_rejects_bad_input():
+    with pytest.raises(ValueError, match="law mass is 2/3, not 1"):
+        ScalarLaw.from_weights([1, 2], [1, 1], 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ScalarLaw.from_weights([2, -1], [1, 1], 2)
+    with pytest.raises(ValueError, match="at least one value"):
+        ScalarLaw.from_weights([], [], 1)
+    with pytest.raises(ValueError, match="positive"):
+        ScalarLaw.from_counts({1: 3, 2: -1}, 2, seed=0)
+
+
 def test_sequence_config_round_trip():
     corpus = generate_corpus(CorpusSpec(count=15, seed=12))
     for seq in corpus:

@@ -344,10 +344,12 @@ def test_float_probability_laws_match_recorded_digests():
         assert float_digest(seqs[name], what) == digest, (name, what)
     
 
-def reference_monte_carlo_law(seq, statistic, trials, seed, chunk_size=8192):
+def reference_monte_carlo_law(seq, statistic, trials, seed, chunk_size=8192, sizes=None):
     """The column loop the engine replaced: each trial's atom by a binary
-    search of the cumulative probabilities, and the transition table grown
-    by concatenation and the state list rebuilt at every column."""
+    search of the cumulative probabilities, distinct pairs by sorting, and
+    the transition table grown by concatenation and the state list rebuilt
+    at every column.  With a list `sizes`, each discrete column appends
+    (continues an epoch, states x atoms, trials in the chunk) to it."""
     start, step, value = _statistic(seq, statistic)
     columns = []
     previous = None
@@ -384,6 +386,8 @@ def reference_monte_carlo_law(seq, statistic, trials, seed, chunk_size=8192):
             k = len(elements)
             codes = ids * k + np.searchsorted(cum, u[:, col], side="right")
             col += 1
+            if sizes is not None:
+                sizes.append((same, len(states) * k, batch))
             if same and len(states) * k <= 2 * batch:
                 fresh = np.full(len(states) * k - len(table), -1, dtype=np.intp)
                 table = np.concatenate([table, fresh])
@@ -526,6 +530,30 @@ def test_monte_carlo_steps_as_often_as_the_reference(chunk_size):
             engine(IndependentSequence.build(inst, columns), "walk_peak", trials, 12, chunk_size)
             calls.append(inst.compose_calls)
         assert calls[0] == calls[1], calls
+
+
+def test_monte_carlo_pair_tables_at_their_size_limit():
+    # Columns of 3 atoms, in an iid run (epoch columns) and alternating with
+    # other elements (fresh columns).  With chunks of 3 trials, some column
+    # has states x atoms = 6 = 2 * batch, the largest table; with chunks of
+    # 4, some column has 9 = 2 * batch + 1 and sorts its pairs instead.
+    three = DiscreteDistribution.uniform([-1, 0, 1])
+    other = DiscreteDistribution.uniform([-2, 0, 3])
+    reached = set()
+    for columns in ([three] * 8, [three, other] * 4):
+        for chunk_size in (3, 4):
+            for statistic in ("walk_peak", "end_distance"):
+                laws, calls, sizes = [], [], []
+                for engine in (monte_carlo_law, reference_monte_carlo_law):
+                    inst = CountingIntegers()
+                    seq = IndependentSequence.build(inst, columns)
+                    laws.append(engine(seq, statistic, 24, 5, chunk_size))
+                    calls.append(inst.compose_calls)
+                reference_monte_carlo_law(seq, statistic, 24, 5, chunk_size, sizes)
+                assert_same(*laws)
+                assert calls[0] == calls[1], calls
+                reached |= {(same, size - 2 * batch) for same, size, batch in sizes}
+    assert {(True, 0), (True, 1), (False, 0), (False, 1)} <= reached
 
 
 @pytest.mark.parametrize("chunk_size", [0, -1])
