@@ -11,8 +11,9 @@ sweeps over the default corpus and over files written by `sgverify corpus`,
 but not over hand-edited corpus files.  CSV outputs and the `levy
 --trace-csv` side file are not replay inputs.
 
-A sweep streams its corpus one item at a time; its JSON estimate and its
-CSV rows are both built from the per-item reports of `inequalities`.
+A sweep streams its corpus one item at a time, and reads a corpus file
+once; its JSON estimate and its CSV rows are both built from the per-item
+reports of `inequalities`, and CSV rows are written as they are made.
 
 Exit codes: 0 all checks pass, 1 a non-degenerate check failed or axiom
 violations were found, 2 usage or configuration errors, 3 a resource limit
@@ -174,6 +175,20 @@ def _emit(text: str, out: str | None):
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _emit_csv(reports, out: str | None):
+    """Write CSV rows as `reports` yields them; a file left unfinished by
+    an error is removed, as no JSON output is written on one."""
+    if not out:
+        reports_to_csv(reports, sys.stdout)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as stream:
+            reports_to_csv(reports, stream)
+    except BaseException:
+        Path(out).unlink(missing_ok=True)
+        raise
 
 
 def _read_json(path: str):
@@ -372,7 +387,10 @@ def run_check(config: dict, args):
 
 def sweep_config(args) -> dict:
     if args.corpus != "default":
-        spec = CorpusSpec.from_config(_read_json(args.corpus)["config"])
+        blob = _read_json(args.corpus)
+        spec = CorpusSpec.from_config(blob["config"])
+        # the file is parsed once: `run_sweep` takes its sequences from here
+        args.corpus_sequences = blob["sequences"]
     elif args.count is None:
         spec = CorpusSpec(seed=args.seed)
     else:
@@ -388,11 +406,11 @@ def sweep_config(args) -> dict:
 
 def run_sweep(config: dict, args):
     """One pass over the corpus, which is read one item at a time."""
-    source = getattr(args, "corpus", "default")
-    if source == "default":
+    sequences = getattr(args, "corpus_sequences", None)
+    if sequences is None:
         corpus = iter_corpus(CorpusSpec.from_config(config["corpus"]))
     else:
-        corpus = (sequence_from_config(c) for c in _read_json(source)["sequences"])
+        corpus = map(sequence_from_config, sequences)
     constant, seed = config["constant"], config["seed"]
     p0, eps = _rational(config["p0"]), float(config["eps"])
     if getattr(args, "format", "json") == "csv":
@@ -403,11 +421,11 @@ def run_sweep(config: dict, args):
             "c1": quantile_ratio_reports,
             "approx-ratios": moment_vs_quantile_reports,
         }[constant]
-        rows = [
+        rows = (
             _bare(rep, rep.params | {"corpus_index": index})
             for index, seq in enumerate(corpus)
             for rep in item_reports(seq)
-        ]
+        )
         return {"results": rows}, 0
     if constant == "c1":
         return {"results": estimate_quantile_ratio_constant(corpus, seed=seed)}, 0
@@ -480,7 +498,7 @@ def main(argv=None) -> int:
             config = to_jsonable(COMMANDS[command][0](args))
         fields, code = COMMANDS[command][1](config, args)
         if getattr(args, "format", "json") == "csv":
-            _emit(reports_to_csv(fields["results"]), args.out)
+            _emit_csv(fields["results"], args.out)
         else:
             _emit(canonical_json({"command": command, "config": config, **fields}), args.out)
         return code

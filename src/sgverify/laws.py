@@ -16,12 +16,15 @@ equal states:
   of execution order and chunking.  A trial's atom in a column of k atoms
   is the number of the first k - 1 cumulative probabilities its uniform
   reaches, counted in k - 1 vectorised comparisons (a binary search above
-  `MAX_THRESHOLD_ATOMS` atoms).  The distinct (state, atom) pairs of a
-  column are found by flagging their codes in a dense array, not by
-  sorting (`np.unique` only above 2 * batch possible pairs).  Runs of
-  columns with the same elements share a table from (state, atom) to the
-  next state, so an iid walk steps each transition once per chunk rather
-  than once per column.
+  `MAX_THRESHOLD_ATOMS` atoms).  The uniforms are drawn in cache-sized
+  sub-blocks, each reduced at once to a one-byte atom index per trial and
+  column, so a chunk holds a byte per uniform rather than a float, and a
+  column reads its atoms as one contiguous row.  The distinct (state,
+  atom) pairs of a column are found by flagging their codes in a dense
+  array, not by sorting (`np.unique` only above 2 * batch possible
+  pairs).  Runs of columns with the same elements share a table from
+  (state, atom) to the next state, so an iid walk steps each transition
+  once per chunk rather than once per column.
 
 Laws that come from integer counts (Monte Carlo) or integer numerators
 over one denominator (the rational exact engine) are built by
@@ -51,12 +54,22 @@ from .semigroups import MetricSemigroup, parse_instance
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
+# Monte Carlo draws a chunk's uniforms this many at a time.  A sub-block and
+# its copy with a row per column take 1 MB of float64 together, and stay in
+# cache while they are reduced to atoms.
+SUB_BLOCK_UNIFORMS = 1 << 16
+
 # Monte Carlo columns with at most this many atoms pick each trial's atom by
-# counting the cumulative probabilities it reaches, one pass over the column
-# per probability; wider columns use a binary search, whose cost grows with
-# log k instead of k.  On 8,192 trials of a 200-column block (2-vCPU x86
-# host) the two cost the same near ten atoms; at 64 atoms counting takes
-# 3.7 times as long, at 1,000 atoms 30 times.
+# counting the cumulative probabilities it reaches, one comparison per level
+# of thresholds over every column that has that level; wider columns use a
+# binary search, whose cost grows with log k instead of k.  On a sub-block
+# of 200 columns x 327 trials (2-vCPU x86 host, microseconds per column per
+# 1,000 trials), counting columns that share all their levels took 1.0,
+# 7.3, 8.0, 16 and 68 at 2, 8, 9, 16 and 64 atoms, against 27, 41, 43, 53
+# and 80 for a binary search per column; but a column alone in its levels
+# took 18, 96, 90, 207 and 810, against 18 to 29, as each of its levels is
+# then a call on 327 values.  The crossover thus depends on how many
+# columns share a level, which the cutoff does not see.
 MAX_THRESHOLD_ATOMS = 8
 
 WALK_PEAK = "walk_peak"
@@ -677,7 +690,7 @@ def monte_carlo_law(
     statistic=WALK_PEAK,
     trials: int = 10_000,
     seed: int = 0,
-    chunk_size: int = 8192,
+    chunk_size: int = 65536,
 ) -> ScalarLaw:
     """Empirical law of a path functional from seeded Monte Carlo.
 
@@ -686,54 +699,85 @@ def monte_carlo_law(
     exact carriers the sampled functional values stay exact (Fraction/int)
     and the empirical measure is represented as counts/trials.
 
-    Each chunk keeps one state id per trial.  A sampler column steps once
-    per trial.  In a discrete column of k atoms with cumulative
+    Trials run in chunks of `chunk_size`.  A chunk's uniforms are drawn
+    `SUB_BLOCK_UNIFORMS` at a time; each sub-block is copied with a row per
+    column and, while it is in cache, reduced to the chunk's atom matrix:
+    one row per column, holding each trial's atom index in one byte (more
+    above 256 atoms).  In a discrete column of k atoms with cumulative
     probabilities c_1 <= ... <= c_k = 1, a trial with uniform u < 1 takes
     atom #{i < k : c_i <= u}, which is searchsorted(c, u, side="right").
-    Up to `MAX_THRESHOLD_ATOMS` atoms it is counted in place, one
-    comparison of the whole column per threshold; wider columns fall back
-    to the binary search.
+    Up to `MAX_THRESHOLD_ATOMS` atoms it is counted level by level: level
+    j compares every column that has a j-th threshold at once; wider
+    columns run the binary search on the sub-block.  A sampler column
+    keeps a float copy of its own uniforms, as it draws from them.  So a
+    chunk of discrete columns holds a byte per uniform, not the 8 of a
+    float block, and the default chunk of 65,536 trials takes the bytes
+    that 8,192 trials take as floats.
 
-    A discrete column steps once per distinct (state, atom) pair, found
-    without sorting: the pair codes state * k + atom lie below
-    states x atoms, so they are flagged in a bool array of that size and
-    read back in ascending order, the order `np.unique` gives; the pairs
-    are stepped and their states interned in that order, and the next
-    state ids gathered through a table of the same size.  A run of
-    consecutive discrete columns whose atoms have the same elements (an
-    epoch; every column of an iid walk) shares one such table
-    next[state * k + atom], so each pair is stepped once per epoch.  The
-    table is allocated at 2 * batch entries, -1 meaning not yet stepped,
-    on the epoch's second column; a column then gathers the next state ids
-    from it and steps only the pairs it has not seen.  A column that starts
-    afresh (the first of a chunk, or one with new elements) uses its table
-    once.  An epoch ends at a column with other elements (compared by value
-    and by repr, so 1 and Fraction(1) differ), at a sampler column, and at
-    a column reached with more states x atoms than twice the trials of the
-    chunk.  Such a column sorts its pair codes with `np.unique` instead, so
-    a table never holds more than 2 * chunk_size entries.
+    A column then reads its atoms as one contiguous row.  It steps once
+    per distinct (state, atom) pair, found without sorting: the pair codes
+    state * k + atom lie below states x atoms, so they are flagged in a
+    bool array of that size and read back in ascending order, the order
+    `np.unique` gives; the pairs are stepped and their states interned in
+    that order, and the next state ids gathered through a table of the
+    same size.  A run of consecutive discrete columns whose atoms have the
+    same elements (an epoch; every column of an iid walk) shares one such
+    table next[state * k + atom], so each pair is stepped once per epoch.
+    The table is allocated at 2 * batch entries, -1 meaning not yet
+    stepped, on the epoch's second column; a column then gathers the next
+    state ids from it and steps only the pairs it has not seen.  A column
+    that starts afresh (the first of a chunk, or one with new elements)
+    uses its table once.  An epoch ends at a column with other elements
+    (compared by value and by repr, so 1 and Fraction(1) differ), at a
+    sampler column, and at a column reached with more states x atoms than
+    twice the trials of the chunk.  Such a column sorts its pair codes
+    with `np.unique` instead, so a table never holds more than
+    2 * chunk_size entries.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     start, step, value = _statistic(seq, statistic)
-    # (variable, cumulative probabilities, elements, same elements as the
-    # column before); samplers have no cumulative probabilities.
+    # (variable, first uniform, cumulative probabilities, elements, same
+    # elements as the column before); samplers have no cumulative
+    # probabilities and take `width` uniforms.
     columns = []
     previous = None
+    width = 0
     for var in seq.variables:
         if _variable_is_discrete(var):
             cum = np.cumsum([float(p) for _, p in var.atoms])
             cum[-1] = 1.0
             elements = [e for e, _ in var.atoms]
             same = elements == previous and repr(elements) == repr(previous)
-            columns.append((var, cum, elements, same))
+            columns.append((var, width, cum, elements, same))
             previous = elements
+            width += 1
         else:
-            columns.append((var, None, None, False))
+            columns.append((var, width, None, None, False))
             previous = None
-    width = sum(var.width if cum is None else 1 for var, cum, _, _ in columns)
+            width += var.width
+    discrete = [(col, cum) for _, col, cum, _, _ in columns if cum is not None]
+    counted = [(col, cum) for col, cum in discrete if len(cum) <= MAX_THRESHOLD_ATOMS]
+    wide = [(col, cum) for col, cum in discrete if len(cum) > MAX_THRESHOLD_ATOMS]
+    samplers = [(col, var.width) for var, col, cum, _, _ in columns if cum is None]
+    # level j: the columns of at most MAX_THRESHOLD_ATOMS atoms that have a
+    # j-th threshold, as a slice when they are adjacent, and those thresholds
+    # as a column, one per row of a sub-block
+    levels = []
+    for j in range(MAX_THRESHOLD_ATOMS - 1):
+        have = [(col, cum[j]) for col, cum in counted if j < len(cum) - 1]
+        if not have:
+            break
+        cols, thresholds = zip(*have)
+        if cols[-1] - cols[0] == len(cols) - 1:
+            cols = slice(cols[0], cols[-1] + 1)
+        else:
+            cols = np.array(cols)
+        levels.append((cols, np.array(thresholds)[:, None]))
+    dtype = np.min_scalar_type(max([len(cum) - 1 for _, cum in discrete], default=0))
+    rows = max(1, SUB_BLOCK_UNIFORMS // max(width, 1))
 
     def intern(p):
         """Id of the state reached from pair p = state id * k + atom; a new
@@ -756,40 +800,40 @@ def monte_carlo_law(
     done = 0
     while done < trials:
         batch = min(chunk_size, trials - done)
-        u = uniform_block(seed, width, done, batch)
+        # a sampler's rows of `atoms` stay 0; its uniforms are in `drawn`
+        atoms = np.zeros((width, batch), dtype=dtype)
+        drawn = {col: np.empty((batch, w)) for col, w in samplers}
+        for r0 in range(0, batch, rows):
+            # a row per column, so that every comparison runs along
+            # contiguous memory, however few the columns
+            u = uniform_block(seed, width, done + r0, min(rows, batch - r0)).T.copy()
+            r1 = r0 + u.shape[1]
+            picked = atoms[:, r0:r1]
+            for cols, thresholds in levels:
+                picked[cols] += u[cols] >= thresholds
+            for col, cum in wide:
+                picked[col] = np.searchsorted(cum, u[col], side="right")
+            for col, w in samplers:
+                drawn[col][r0:r1] = u[col : col + w].T
         states = [start]
         ids = np.zeros(batch, dtype=np.intp)
-        col = 0
-        for var, cum, elements, same in columns:
+        for var, col, cum, elements, same in columns:
             if cum is None:
-                w = var.width
                 states = [
-                    step(states[i], var.draw(u[row, col : col + w]))
-                    for row, i in enumerate(ids.tolist())
+                    step(states[i], var.draw(x)) for x, i in zip(drawn[col], ids.tolist())
                 ]
                 ids = np.arange(batch)
-                col += w
                 continue
             k = len(elements)
-            x = u[:, col]
-            col += 1
             codes = ids * k
-            if k > MAX_THRESHOLD_ATOMS:
-                codes += np.searchsorted(cum, x, side="right")
-            else:
-                if k > 2:
-                    # one strided read of the block instead of one per threshold
-                    x = x.copy()
-                for c in cum[:-1].tolist():
-                    codes += x >= c
+            codes += atoms[col]
             size = len(states) * k
             if same and size <= 2 * batch:
                 if table is None:
                     table = np.full(2 * batch, -1, dtype=np.intp)
                 ids = table[codes]
-                unseen = ids < 0
-                if unseen.any():
-                    step_pairs(codes[unseen], table, size)
+                if ids.min() < 0:
+                    step_pairs(codes[ids < 0], table, size)
                     ids = table[codes]
             else:
                 interned, reached, table = {}, [], None

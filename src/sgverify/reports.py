@@ -303,19 +303,29 @@ def _csv_number(x):
     return x
 
 
-def reports_to_csv(reports) -> str:
-    """One row per report; works for inequality and ratio reports."""
-    rows = [r.row() for r in reports]
-    if not rows:
-        return ""
-    fields = list(rows[0].keys())
-    for row in rows[1:]:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+def reports_to_csv(reports, out=None) -> str | None:
+    """One CSV row per report, for inequality and ratio reports.
+
+    Rows are written to the text stream `out` as `reports` yields them, or
+    returned as one string when `out` is None.  The header of a list of
+    reports is every key of its rows, in order of first appearance (a
+    check mixes report kinds); any other iterable, such as a sweep's
+    stream of rows, is read once, so its header is the first row's keys
+    and a later row with a key outside it raises ValueError rather than
+    lose a column.
+    """
+    if out is None:
+        buf = io.StringIO()
+        reports_to_csv(reports, buf)
+        return buf.getvalue()
+    header = None
+    if isinstance(reports, list):
+        header = list(dict.fromkeys(key for r in reports for key in r.row()))
+    rows = (r.row() for r in reports)
+    first = next(rows, None)
+    if first is not None:
+        writer = csv.DictWriter(out, fieldnames=header or list(first), lineterminator="\n")
+        writer.writeheader()
+        writer.writerow(first)
+        writer.writerows(rows)
+    return None

@@ -406,6 +406,49 @@ def test_sweep_outputs_keep_their_digests(tmp_path):
         assert sha256(out) == digest, (constant, fmt, source)
 
 
+def test_sweep_reads_its_corpus_file_once(tmp_path, monkeypatch):
+    corpus_file = tmp_path / "corpus.json"
+    assert run(["corpus", "--count", "6", "--seed", "5", "--out", str(corpus_file)]) == 0
+    read, calls = cli._read_json, []
+    monkeypatch.setattr(cli, "_read_json", lambda path: calls.append(path) or read(path))
+    out = tmp_path / "sweep.json"
+    assert run(["sweep", "--constant", "c1", "--corpus", str(corpus_file), "--out", str(out)]) == 0
+    assert calls == [str(corpus_file)]
+    # the sequences come from the file: with two of them cut, the spec
+    # still says 6 items, but the sweep covers 4
+    blob = read_json(corpus_file)
+    blob["sequences"] = blob["sequences"][:4]
+    corpus_file.write_text(json.dumps(blob))
+    cut = tmp_path / "cut.json"
+    calls.clear()
+    assert run(["sweep", "--constant", "c1", "--corpus", str(corpus_file), "--out", str(cut)]) == 0
+    assert calls == [str(corpus_file)]
+    assert read_json(cut)["results"]["corpus_size"] == 4
+    # a replay regenerates the corpus from the spec in the output
+    calls.clear()
+    again = tmp_path / "again.json"
+    assert run(["replay", str(out), "--out", str(again)]) == 0
+    assert calls == [str(out)]
+    assert again.read_bytes() == out.read_bytes()
+
+
+def test_csv_sweep_that_fails_midway_leaves_no_file(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def third_fails(seq):
+        seen.append(seq)
+        if len(seen) == 3:
+            raise ValueError("the third item fails")
+        return inequalities.quantile_ratio_reports(seq)
+
+    monkeypatch.setattr(cli, "quantile_ratio_reports", third_fails)
+    out = tmp_path / "rows.csv"
+    argv = ["sweep", "--constant", "c1", "--count", "5", "--format", "csv", "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: the third item fails\n"
+    assert not out.exists()
+
+
 def test_sweep_c_rejects_eps_for_the_second_bound_only_in_json(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     argv = ["sweep", "--constant", "c", "--count", "5", "--eps", "0.5", "--out", str(out)]

@@ -13,6 +13,7 @@ replaced, in law and in the number of steps taken.
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,7 @@ from sgverify import (
     parse_instance,
     sequence_from_config,
 )
+from sgverify import laws
 from sgverify.corpus import CorpusSpec, generate_corpus, generate_sequence
 from sgverify.laws import DEFAULT_ENUMERATION_CAP, MAX_THRESHOLD_ATOMS, _statistic
 from sgverify.levy import PointSampler, UniformBoxSampler
@@ -441,13 +443,14 @@ def float_column(rng, k, tiny_last=0.0):
     return DiscreteDistribution.of(zip(rng.sample(range(-200, 200), k), probs))
 
 
+def ints(k):
+    return DiscreteDistribution.uniform(list(range(-(k // 2), k - k // 2)))
+
+
 def adversarial_sequences():
     rng = random.Random(6)
     line = IntegerAdditive()
     torus = TorusGroup(1)
-
-    def ints(k):
-        return DiscreteDistribution.uniform(list(range(-(k // 2), k - k // 2)))
 
     # the float cumsum of the first two reaches 1.0 (or passes it) before
     # the last atom, which is then never drawn
@@ -554,6 +557,79 @@ def test_monte_carlo_pair_tables_at_their_size_limit():
                 assert calls[0] == calls[1], calls
                 reached |= {(same, size - 2 * batch) for same, size, batch in sizes}
     assert {(True, 0), (True, 1), (False, 0), (False, 1)} <= reached
+
+
+class TwoUniformSampler(Sampler):
+    """+1 or -1 from which of two uniforms is larger."""
+
+    width = 2
+
+    def draw(self, u):
+        return 1 if u[0] < u[1] else -1
+
+
+def atom_matrix_columns():
+    pm1 = DiscreteDistribution.of([(1, F(1, 2)), (-1, F(1, 2))])
+    one = DiscreteDistribution.point_mass(3)
+    eight = ints(MAX_THRESHOLD_ATOMS)
+    return {
+        "1-atom": [one, pm1, one, one, pm1, pm1, one],
+        # atom indices up to 255 fit one byte; 300 atoms need two
+        "256-atoms": [ints(256), pm1, ints(256), ints(3)],
+        "300-atoms": [ints(300), pm1, ints(256), ints(3)],
+        "samplers": [
+            pm1, SignSampler(), eight, TwoUniformSampler(), eight, one,
+            PointSampler(1), ints(MAX_THRESHOLD_ATOMS + 1), pm1, SignSampler(),
+        ],
+    }
+
+
+def assert_steps_like_reference(columns, statistic, trials, seed, chunk_size=None):
+    """The engine at `chunk_size` (its default when None) and the reference
+    at the same chunk give the same law from the same number of steps."""
+    results, calls = [], []
+    for engine in (monte_carlo_law, reference_monte_carlo_law):
+        inst = CountingIntegers()
+        seq = IndependentSequence.build(inst, columns)
+        if engine is monte_carlo_law and chunk_size is None:
+            results.append(engine(seq, statistic, trials, seed))
+        else:
+            results.append(engine(seq, statistic, trials, seed, chunk_size or 65536))
+        calls.append(inst.compose_calls)
+    assert_same(*results)
+    assert calls[0] == calls[1], calls
+
+
+@pytest.mark.parametrize("name", sorted(atom_matrix_columns()))
+def test_monte_carlo_atom_matrix_across_sub_blocks(monkeypatch, name):
+    # sub-blocks of at most 64 uniforms: a chunk of 3,001 trials (a prime)
+    # spans hundreds of them, the last one short
+    monkeypatch.setattr(laws, "SUB_BLOCK_UNIFORMS", 64)
+    columns = atom_matrix_columns()[name]
+    for statistic in ("walk_peak", "end_distance", "step_peak"):
+        for chunk_size in (None, 7):
+            assert_steps_like_reference(columns, statistic, 3001, 23, chunk_size)
+
+
+@pytest.mark.parametrize("trials", [10_000, 70_000])
+def test_monte_carlo_default_chunk_matches_reference(trials):
+    # 10,000 trials are one chunk, 70,000 two (65,536 and 4,464)
+    pm1 = DiscreteDistribution.of([(1, F(1, 2)), (-1, F(1, 2))])
+    walk = atom_matrix_columns()["samplers"] + [pm1] * 30
+    assert_steps_like_reference(walk, "walk_peak", trials, 31)
+
+
+def test_monte_carlo_holds_no_float_block_per_chunk():
+    # a chunk's 10,000 x 200 uniforms held as floats would take 15 MB; the
+    # atom matrix takes 2 MB, and a sub-block with its copy 1 MB
+    seq = pm1_walk(200)
+    tracemalloc.start()
+    try:
+        monte_carlo_law(seq, trials=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
 
 
 @pytest.mark.parametrize("chunk_size", [0, -1])

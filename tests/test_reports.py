@@ -1,8 +1,11 @@
+import io
 import json
 import math
 from fractions import Fraction
 
-from sgverify import Uncertain, canonical_json, make_report
+import pytest
+
+from sgverify import RatioReport, Uncertain, canonical_json, make_report
 from sgverify.reports import reports_to_csv, to_jsonable
 
 F = Fraction
@@ -77,3 +80,28 @@ def test_csv_export_includes_every_column():
     lines = text.strip().splitlines()
     assert lines[0].startswith("name,params,lhs,rhs,slack,holds")
     assert len(lines) == 3
+
+
+def test_csv_rows_are_written_as_they_come():
+    out = io.StringIO()
+    reports = [make_report("one", {"t": F(1, 2)}, F(0), F(1)), make_report("two", {}, 1.0, 2.0)]
+
+    def one_by_one():
+        yield reports[0]
+        assert out.getvalue().count("\n") == 2  # the header and the first row
+        yield reports[1]
+
+    assert reports_to_csv(one_by_one(), out) is None
+    assert out.getvalue() == reports_to_csv(reports)
+
+
+def test_csv_header_of_mixed_report_kinds():
+    mixed = [make_report("one", {}, 1.0, 2.0), RatioReport("r", {}, 0.5)]
+    # a list is read twice, so its header has every key of its rows
+    lines = reports_to_csv(mixed).splitlines()
+    assert lines[0] == "name,params,lhs,rhs,slack,holds,degenerate,engine,ratio"
+    assert lines[2] == "r,{},,,,,,,0.5"
+    # a stream is read once: its header is the first row's, and a row with
+    # a key outside it is refused rather than written without that column
+    with pytest.raises(ValueError, match="ratio"):
+        reports_to_csv(iter(mixed), io.StringIO())
