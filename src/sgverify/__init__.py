@@ -45,7 +45,6 @@ from .laws import (
     PathTrace,
     Sampler,
     ScalarLaw,
-    enumerate_outcomes,
     exact_functional_law,
     mc_tail_agreement,
     monte_carlo_law,

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .inequalities import HJParameters
-from .laws import (
-    DEFAULT_ENUMERATION_CAP,
-    DiscreteDistribution,
-    IndependentSequence,
-    ScalarLaw,
-    is_rational,
-)
+from .laws import DiscreteDistribution, IndependentSequence, ScalarLaw, is_rational
 from .rng import derive_seed
 from .semigroups import MetricSemigroup, parse_instance
 
@@ -40,10 +34,6 @@ class CorpusSpec:
             raise ValueError("corpus count must be >= 1")
         if self.max_len < 1 or self.max_support < 1:
             raise ValueError("length and support caps must be >= 1")
-        if self.max_support**self.max_len > DEFAULT_ENUMERATION_CAP:
-            raise ValueError(
-                "support^length exceeds the enumeration cap; shrink the corpus spec"
-            )
         if not self.instances:
             raise ValueError("corpus needs at least one instance kind")
 
@@ -89,9 +79,7 @@ def _random_distribution(
     elems = _distinct_elements(inst, rng, size)
     weights = [rng.randint(1, 9) for _ in elems]
     total = sum(weights)
-    return DiscreteDistribution.of(
-        [(e, Fraction(w, total)) for e, w in zip(elems, weights)], instance=inst
-    )
+    return DiscreteDistribution.of([(e, Fraction(w, total)) for e, w in zip(elems, weights)])
 
 
 def generate_sequence(

@@ -27,6 +27,7 @@ from .laws import (
     _advance,
     _exact_weights,
     _product,
+    is_rational,
     monte_carlo_law,
     sequence_to_config,
 )
@@ -46,7 +47,6 @@ from .reports import (
     InequalityReport,
     RatioReport,
     Uncertain,
-    is_rational_number,
     make_report,
 )
 from .rng import derive_seed
@@ -153,7 +153,7 @@ def _chain_report(name, params, links):
     ]
     nan = any(isinstance(g, float) and math.isnan(g) for g in gaps)
     slack = math.nan if nan else min(gaps, default=math.inf)
-    rational = all(is_rational_number(v) for v in values)
+    rational = all(is_rational(v) for v in values)
     if rational:
         holds = slack >= 0
         arithmetic = "rational"

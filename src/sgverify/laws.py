@@ -26,6 +26,10 @@ equal states:
   (state, atom) to the next state, so an iid walk steps each transition
   once per chunk rather than once per column.
 
+Every exact law a sequence holds comes from the exact engine: the walk
+peak, the end distance, the step peak, and each step's magnitude, which is
+the step peak pushed through that step alone.
+
 Laws that come from integer counts (Monte Carlo) or integer numerators
 over one denominator (the rational exact engine) are built by
 `ScalarLaw.from_weights`, which checks their mass in ints.
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -86,7 +90,7 @@ MASS_TOL = 1e-12
 
 
 class EnumerationCapError(ValueError):
-    """An exact law needs more states (or outcomes) than the cap allows."""
+    """An exact law needs more states than the cap allows."""
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +108,11 @@ class DiscreteDistribution:
     atoms: tuple
 
     @staticmethod
-    def of(
-        pairs: Iterable[tuple],
-        instance: MetricSemigroup | None = None,
-        merge: bool = False,
-    ) -> "DiscreteDistribution":
+    def of(pairs: Iterable[tuple], merge: bool = False) -> "DiscreteDistribution":
+        """Checks the probabilities; `IndependentSequence.build` checks the
+        elements against its instance."""
         merged: dict = {}
         for element, prob in pairs:
-            if instance is not None:
-                instance.require_element(element)
             if prob < 0:
                 raise ValueError(f"negative probability {prob} for atom {element!r}")
             if element in merged:
@@ -356,17 +356,6 @@ class ScalarLaw:
     def mean(self):
         return self.moment(1)
 
-    def scale(self, factor) -> "ScalarLaw":
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return ScalarLaw(
-            tuple(v * factor for v in self.values),
-            self.probs,
-            kind=self.kind,
-            trials=self.trials,
-            seed=self.seed,
-        )
-
     def to_jsonable(self) -> dict:
         def num(x):
             if isinstance(x, Fraction):
@@ -479,17 +468,16 @@ class IndependentSequence:
 
     @cached_property
     def magnitude_laws(self) -> tuple:
-        """Law of each step's magnitude d(z0, z0 * x); basepoint-independent."""
-        laws = []
-        for var in self.variables:
-            if not _variable_is_discrete(var):
-                raise ValueError("magnitude laws need discrete variables")
-            pairs = [
-                (self.instance.distance(self.z0, self.instance.compose(self.z0, e)), p)
-                for e, p in var.atoms
-            ]
-            laws.append(ScalarLaw.from_pairs(pairs))
-        return tuple(laws)
+        """Law of each step's magnitude d(z0, z0 * x): the step peak of that
+        step alone, by the push-forward of `exact_functional_law`;
+        basepoint-independent."""
+        if not self.is_exact:
+            raise ValueError("magnitude laws need discrete variables")
+        step_peak = _statistic(self, STEP_PEAK)
+        return tuple(
+            _push_forward_law(step_peak, (var,), DEFAULT_ENUMERATION_CAP)
+            for var in self.variables
+        )
 
     @cached_property
     def walk_peak_law(self) -> ScalarLaw:
@@ -497,17 +485,8 @@ class IndependentSequence:
 
     @cached_property
     def step_peak_law(self) -> ScalarLaw:
-        """Law of the running maximum of step magnitudes (independent product)."""
-        grid = sorted({v for law in self.magnitude_laws for v in law.values})
-        pairs = []
-        prev_cdf = 0
-        for y in grid:
-            cdf = math.prod(law.prob_le(y) for law in self.magnitude_laws)
-            mass = cdf - prev_cdf
-            if mass > 0:
-                pairs.append((y, mass))
-            prev_cdf = cdf
-        return ScalarLaw.from_pairs(pairs)
+        """Law of the largest step magnitude max_j d(z0, z0 * x_j)."""
+        return exact_functional_law(self, STEP_PEAK)
 
     @cached_property
     def end_distance_law(self) -> ScalarLaw:
@@ -636,26 +615,6 @@ def _advance(states: dict, atoms, step, index: int, cap: int) -> dict:
     return out
 
 
-def enumerate_outcomes(
-    seq: IndependentSequence, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[tuple]:
-    """Yield (outcome, probability) over the joint support.
-
-    The exact engine does not use this; it is the reference that tests
-    compare the state-merging push-forward against.
-    """
-    if not seq.is_exact:
-        raise ValueError("exact enumeration needs finitely supported variables")
-    count = seq.outcome_count
-    if count > cap:
-        raise EnumerationCapError(f"{count} joint outcomes exceed the cap {cap}")
-    supports = [var.atoms for var in seq.variables]
-    for combo in itertools.product(*supports):
-        outcome = tuple(e for e, _ in combo)
-        prob = math.prod((p for _, p in combo), start=Fraction(1))
-        yield outcome, prob
-
-
 def exact_functional_law(
     seq: IndependentSequence,
     statistic,
@@ -665,10 +624,15 @@ def exact_functional_law(
 
     `cap` bounds the merged states times the atoms of the next step.
     """
-    start, step, value = _statistic(seq, statistic)
     if not seq.is_exact:
         raise ValueError("exact laws need finitely supported variables")
-    one, columns, denominator = _exact_weights(seq.variables)
+    return _push_forward_law(_statistic(seq, statistic), seq.variables, cap)
+
+
+def _push_forward_law(statistic: tuple, variables, cap: int) -> ScalarLaw:
+    """Law of a (start, step, value) statistic over the discrete `variables`."""
+    start, step, value = statistic
+    one, columns, denominator = _exact_weights(variables)
     states = {start: one}
     for index, atoms in enumerate(columns, 1):
         states = _advance(states, atoms, step, index, cap)
@@ -954,7 +918,7 @@ def sequence_from_config(config: dict) -> IndependentSequence:
         atoms = [
             (inst.element_from_json(e), _prob_from_json(p)) for e, p in entry["atoms"]
         ]
-        variables.append(DiscreteDistribution.of(atoms, instance=inst))
+        variables.append(DiscreteDistribution.of(atoms))
     z0 = inst.element_from_json(config["z0"]) if "z0" in config else None
     z1 = inst.element_from_json(config["z1"]) if "z1" in config else None
     return IndependentSequence.build(

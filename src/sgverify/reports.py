@@ -15,12 +15,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .laws import is_rational
+
 FLOAT_SLACK_TOL = 1e-12
 MC_Z_FLAG = 3.0
-
-
-def is_rational_number(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 class Uncertain:
@@ -240,7 +238,7 @@ def make_report(
             components=components,
             note=note,
         )
-    if is_rational_number(lhs) and is_rational_number(rhs):
+    if is_rational(lhs) and is_rational(rhs):
         slack = rhs - lhs
         engine["arithmetic"] = "rational"
         holds = slack >= 0

@@ -236,6 +236,7 @@ class GraphGroup(MetricSemigroup):
         self.edge_pool = tuple(
             (u, v) for u in range(vertices) for v in range(u + 1, vertices)
         )
+        self.edges = frozenset(self.edge_pool)
         self.name = f"graphgroup({vertices})"
         self.spec = f"graphgroup:{vertices}"
 
@@ -253,10 +254,7 @@ class GraphGroup(MetricSemigroup):
         return a
 
     def contains(self, x):
-        if not isinstance(x, frozenset):
-            return False
-        pool = set(self.edge_pool)
-        return all(e in pool for e in x)
+        return isinstance(x, frozenset) and x <= self.edges
 
     def elements(self):
         for r in range(len(self.edge_pool) + 1):

@@ -122,6 +122,14 @@ def test_check_rejects_unknown_config_keys(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+def test_check_rejects_foreign_elements(tmp_path, capsys):
+    bad = {"instance": "cyclic:3", "variables": [{"atoms": [[1, "1/2"], [7, "1/2"]]}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert run(["check", str(path), "--ineq", "all"]) == 2
+    assert "7 is not an element of" in capsys.readouterr().err
+
+
 def test_check_mc_engine(seq_file, tmp_path):
     out = tmp_path / "rep.json"
     code = run(
@@ -349,6 +357,21 @@ def test_corpus_and_sweep_round_trip(tmp_path):
         ["sweep", "--constant", "approx-ratios", "--corpus", str(corpus_file),
          "--out", str(ratios_out)]
     ) == 0
+
+
+def test_long_corpus_walks_are_swept_exactly(tmp_path):
+    # 3^20 joint outcomes may exceed the state cap; the merged states of
+    # each law stay far below it, so the spec is not refused
+    corpus_file = tmp_path / "corpus.json"
+    argv = ["corpus", "--count", "5", "--max-len", "20", "--max-support", "3"]
+    assert run(argv + ["--out", str(corpus_file)]) == 0
+    blob = read_json(corpus_file)
+    assert blob["config"]["max_len"] == 20 and len(blob["sequences"]) == 5
+    out = tmp_path / "sweep.json"
+    assert run(["sweep", "--constant", "c1", "--corpus", str(corpus_file), "--out", str(out)]) == 0
+    results = read_json(out)["results"]
+    assert results["corpus_size"] == 5 and results["skipped_degenerate"] == 0
+    assert results["value"] == results["witness"]["ratio"] > 0
 
 
 def test_corpus_same_seed_byte_identical(tmp_path):

@@ -42,11 +42,16 @@ def test_corpus_respects_caps():
         assert seq.outcome_count <= 2**4
 
 
-def test_corpus_rejects_cap_busting_specs():
-    with pytest.raises(ValueError):
-        CorpusSpec(count=10, max_len=30, max_support=3)
+def test_corpus_rejects_invalid_specs():
+    # support^length is no limit: exact laws merge states, and a state cap
+    # is a resource limit of the law, not of the spec
+    assert CorpusSpec(count=10, max_len=30, max_support=3).max_len == 30
     with pytest.raises(ValueError):
         CorpusSpec(count=0)
+    with pytest.raises(ValueError):
+        CorpusSpec(max_len=0)
+    with pytest.raises(ValueError):
+        CorpusSpec(instances=())
 
 
 def test_corpus_probabilities_are_exact():

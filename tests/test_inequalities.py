@@ -35,7 +35,8 @@ from sgverify import inequalities
 from sgverify.cli import default_suite
 from sgverify.inequalities import DEFAULT_PQ_GRID, _chain_report
 from sgverify.corpus import CorpusSpec, generate_corpus, generate_sequence, random_hj_parameters
-from sgverify.reports import FLOAT_SLACK_TOL, InequalityReport, is_rational_number
+from sgverify.laws import is_rational
+from sgverify.reports import FLOAT_SLACK_TOL, InequalityReport
 
 F = Fraction
 
@@ -528,7 +529,7 @@ def test_default_suite_slack_is_nonnegative_on_random_sequences(
     for rep in default_suite(seq):
         if not isinstance(rep, InequalityReport) or rep.degenerate:
             continue
-        if is_rational_number(rep.slack):
+        if is_rational(rep.slack):
             assert rep.slack >= 0, rep.to_jsonable()
         else:
             assert rep.slack >= -FLOAT_SLACK_TOL, rep.to_jsonable()

@@ -15,7 +15,6 @@ from sgverify import (
     ScalarLaw,
     TorusGroup,
     derive_seed,
-    enumerate_outcomes,
     exact_functional_law,
     mc_tail_agreement,
     monte_carlo_law,
@@ -25,6 +24,8 @@ from sgverify import (
 )
 from sgverify.corpus import CorpusSpec, generate_corpus
 from sgverify.levy import UniformBoxSampler
+
+from law_oracles import enumerate_outcomes, product_step_peak_law
 
 F = Fraction
 
@@ -141,9 +142,9 @@ def test_step_peak_law_matches_enumeration():
     corpus = generate_corpus(CorpusSpec(count=25, seed=9))
     for seq in corpus:
         direct = seq.step_peak_law
-        enumerated = exact_functional_law(seq, "step_peak")
-        assert direct.values == enumerated.values
-        assert direct.probs == enumerated.probs
+        product = product_step_peak_law(seq)
+        assert direct.values == product.values
+        assert direct.probs == product.probs
 
 
 def test_pathwise_running_max_monotone_and_step_bound():
@@ -347,6 +348,22 @@ def test_sequence_config_rejects_unknown_keys():
     config["surprise"] = 1
     with pytest.raises(ValueError):
         sequence_from_config(config)
+
+
+def test_sequence_config_checks_each_element_once_per_layer(monkeypatch):
+    # once when read from JSON and once when the sequence is built
+    config = sequence_to_config(rademacher_seq(3))
+    calls = []
+    original = IntegerAdditive.require_element
+
+    def counting(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(IntegerAdditive, "require_element", counting)
+    sequence_from_config(config)
+    atoms = 3 * 2
+    assert len(calls) == 2 * atoms + 2 * 2
 
 
 def test_default_basepoints():

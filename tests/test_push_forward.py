@@ -4,13 +4,16 @@ The exact engine is compared with `enumerate_outcomes`, a product over the
 joint support, on the full default corpus, on random small sequences and on
 sequences that mix int and Fraction probabilities, in value and in repr;
 with float probabilities, with digests recorded before rational weights
-became integer numerators.  The Monte Carlo engine is compared with digests
+became integer numerators.  The magnitude and step-peak laws, which the
+same push-forward builds, are compared with the product of the magnitudes'
+CDFs that built them before, in value, in repr and in their tail sums.  The Monte Carlo engine is compared with digests
 of the laws produced by the engines it replaced, which must not move for an
 existing seed, and with `reference_monte_carlo_law`, the column loop it
 replaced, in law and in the number of steps taken.
 """
 
 import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -30,7 +33,6 @@ from sgverify import (
     ScalarLaw,
     TorusGroup,
     check_mogulskii,
-    enumerate_outcomes,
     exact_functional_law,
     monte_carlo_law,
     parse_instance,
@@ -41,6 +43,8 @@ from sgverify.corpus import CorpusSpec, generate_corpus, generate_sequence
 from sgverify.laws import DEFAULT_ENUMERATION_CAP, MAX_THRESHOLD_ATOMS, _statistic
 from sgverify.levy import PointSampler, UniformBoxSampler
 from sgverify.rng import uniform_block
+
+from law_oracles import enumerate_outcomes, product_magnitude_laws, product_step_peak_law
 
 F = Fraction
 
@@ -344,7 +348,73 @@ def test_float_probability_laws_match_recorded_digests():
     seqs = float_sequences()
     for name, what, digest in GOLDEN_FLOAT:
         assert float_digest(seqs[name], what) == digest, (name, what)
-    
+
+
+def assert_same_scalar_law(law, reference):
+    assert law.values == reference.values
+    assert repr(law.probs) == repr(reference.probs)
+    assert repr(law._suffix) == repr(reference._suffix)
+
+
+def assert_matches_cdf_product(seq):
+    for law, reference in zip(seq.magnitude_laws, product_magnitude_laws(seq), strict=True):
+        assert_same_scalar_law(law, reference)
+    assert_same_scalar_law(seq.step_peak_law, product_step_peak_law(seq))
+
+
+def test_magnitude_and_step_peak_laws_match_the_cdf_product_on_default_corpus():
+    for seq in generate_corpus(CorpusSpec(count=10_000, seed=1)):
+        assert_matches_cdf_product(seq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=st.sampled_from(EXACT_SPECS),
+    seed=st.integers(0, 2**32),
+    max_len=st.integers(1, 6),
+    max_support=st.integers(1, 4),
+)
+def test_magnitude_and_step_peak_laws_match_the_cdf_product_on_random_sequences(
+    spec, seed, max_len, max_support
+):
+    inst = parse_instance(spec)
+    rng = random.Random(seed)
+    seq = generate_sequence(inst, rng, max_len, max_support, "random")
+    seq = seq.with_basepoints(inst.random_element(rng), inst.random_element(rng))
+    assert_matches_cdf_product(seq)
+
+
+def step_peak_error(law, seq):
+    """Largest distance of the law's probabilities from the step-peak law
+    of `seq` with each float probability p read as the exact Fraction(p)."""
+    inst, z0 = seq.instance, seq.z0
+    exact = {}
+    for combo in itertools.product(*(var.atoms for var in seq.variables)):
+        peak = max(inst.distance(z0, inst.compose(z0, e)) for e, _ in combo)
+        _add(exact, peak, math.prod(Fraction(p) for _, p in combo))
+    assert list(law.values) == sorted(exact)
+    return max(abs(Fraction(p) - exact[v]) for v, p in zip(law.values, law.probs))
+
+
+def test_float_step_peak_law_is_the_push_forward_and_no_less_accurate():
+    for name, seq in float_sequences().items():
+        law = seq.step_peak_law
+        assert_same_scalar_law(law, exact_functional_law(seq, "step_peak"))
+        product = product_step_peak_law(seq)
+        assert step_peak_error(law, seq) <= step_peak_error(product, seq), name
+
+
+def test_int_probabilities_give_fraction_laws():
+    line = IntegerAdditive()
+    sure = DiscreteDistribution.of([(2, 1)])
+    coin = DiscreteDistribution.of([(1, F(1, 3)), (-1, F(2, 3))])
+    for variables in ([sure], [sure, sure], [coin, sure, coin]):
+        seq = IndependentSequence.build(line, variables)
+        laws = (seq.walk_peak_law, seq.step_peak_law, seq.end_distance_law)
+        for law in laws + seq.magnitude_laws:
+            assert all(type(p) is Fraction for p in law.probs), law
+
+
 
 def reference_monte_carlo_law(seq, statistic, trials, seed, chunk_size=8192, sizes=None):
     """The column loop the engine replaced: each trial's atom by a binary
