@@ -22,6 +22,7 @@ from .laws import (
     DEFAULT_ENUMERATION_CAP,
     STEP_PEAK,
     WALK_PEAK,
+    EnumerationCapError,
     IndependentSequence,
     ScalarLaw,
     _advance,
@@ -362,24 +363,47 @@ def check_mogulskii(seq: IndependentSequence, m: int, a, b):
     (2) P(max_k d(z1, z0*s_k) >= a) * min_k P(d(s_k, s_n) <= b)
             <= P(d(z1, z0*s_n) >= a - b)
 
-    Returns the pair of reports, computed exactly.  A forward pass carries
-    (s_j, window min <= a seen, window max >= a seen); at each window index
-    k a second pass carries (s_k, s_j) from the law of s_k to j = n.  Both
-    passes carry the weights of the exact engine (`_exact_weights`).
+    Returns the pair of reports, computed exactly from one forward and one
+    backward pass (`_mogulskii_probabilities`); a carrier whose composition
+    is not associative is refused with a ValueError.
     """
-    n = seq.n
+    reach_min, reach_max, end_le, end_ge, stay = _mogulskii_probabilities(seq, m, a, b)
+    params, stay_prob = {"m": m, "a": a, "b": b}, min(stay)
+    return tuple(
+        make_report(name, params, reach * stay_prob, rhs,
+                    components={"reach_prob": reach, "stay_prob": stay_prob})
+        for name, reach, rhs in (
+            ("mogulskii-min", reach_min, end_le),
+            ("mogulskii-max", reach_max, end_ge),
+        )
+    )
+
+
+def _mogulskii_probabilities(seq: IndependentSequence, m: int, a, b) -> tuple:
+    """(P(min_k d(z1, z0*s_k) <= a), P(max_k ... >= a), P(d(z1, z0*s_n) <= a + b),
+    P(... >= a - b), [stay_k = P(d(s_k, s_n) <= b) for k = m..n]).
+
+    A backward pass gives the laws of the suffix products g_k = x_{k+1}...x_n
+    (None is the empty one), a forward pass those of (s_k, window min <= a
+    seen, window max >= a seen), both in the weights of `_exact_weights`.
+    As the composition is associative, s_n = s_k*g_k with g_k independent of
+    s_k, so stay_k sums w*v over the s_k of weight w and the g_k of weight v
+    with g_k empty or d(s_k, s_k*g_k) <= b.  Other carriers are refused.
+    """
+    n, inst = seq.n, seq.instance
     if not 1 <= m <= n:
         raise ValueError(f"window start must be in 1..{n}, got {m}")
     if a < 0 or b < 0:
         raise ValueError("radii must be nonnegative")
     if not seq.is_exact:
         raise ValueError("exact laws need finitely supported variables")
-    inst = seq.instance
-    z0, z1 = seq.z0, seq.z1
+    if not inst.is_associative:
+        raise ValueError(f"Mogulskii needs an associative composition; {inst.name} is not")
+    compose, distance, z0, z1 = inst.compose, inst.distance, seq.z0, seq.z1
     _, product, _ = _product(inst)
 
     def shifted(s):
-        return inst.distance(z1, inst.compose(z0, s))
+        return distance(z1, compose(z0, s))
 
     def before_window(state, x):
         return product(state[0], x), False, False
@@ -389,53 +413,46 @@ def check_mogulskii(seq: IndependentSequence, m: int, a, b):
         dist = shifted(s)
         return s, state[1] or dist <= a, state[2] or dist >= a
 
-    def pair_step(state, x):
-        return state[0], product(state[1], x)
+    def prepend(g, x):
+        return x if g is None else compose(x, g)
 
     cap = DEFAULT_ENUMERATION_CAP
     one, columns, denominator = _exact_weights(seq.variables)
 
     def prob(total):
-        """A sum of final weights as a probability; an empty sum stays the
-        int 0."""
+        """A sum of weights as a probability; an empty sum stays the int 0."""
         return Fraction(total, denominator) if denominator and total else total
 
+    tails = [{None: one}]
+    for k in range(n, m, -1):
+        tails.append(_advance(tails[-1], columns[k - 1], prepend, k, cap))
     states = {(None, False, False): one}
-    stay = []
+    heads = []
     for k, atoms in enumerate(columns, 1):
         states = _advance(states, atoms, in_window if k >= m else before_window, k, cap)
-        if k < m:
-            continue
-        pairs: dict = {}
-        for (s, _, _), w in states.items():
-            pairs[s, s] = pairs.get((s, s), 0) + w
-        for j in range(k, n):
-            pairs = _advance(pairs, columns[j], pair_step, j + 1, cap)
-        stay.append(
-            prob(sum(w for (s_k, s_n), w in pairs.items() if inst.distance(s_k, s_n) <= b))
-        )
+        if k >= m:
+            heads.append({})
+            for (s, _, _), w in states.items():
+                heads[-1][s] = heads[-1].get(s, 0) + w
+    stay = []
+    for k, head, tail in zip(range(m, n + 1), heads, reversed(tails)):
+        if len(head) * len(tail) > cap:
+            raise EnumerationCapError(
+                f"{len(head)} partial products at window index {k} times "
+                f"{len(tail)} suffix products would exceed the state cap {cap}"
+            )
+        stay.append(prob(sum(
+            w * v for s, w in head.items() for g, v in tail.items()
+            if g is None or distance(s, compose(s, g)) <= b
+        )))
     ends = [(shifted(s), low, high, w) for (s, low, high), w in states.items()]
-    p_min_le = prob(sum(w for _, low, _, w in ends if low))
-    p_max_ge = prob(sum(w for _, _, high, w in ends if high))
-    p_end_le = prob(sum(w for end, _, _, w in ends if end <= a + b))
-    p_end_ge = prob(sum(w for end, _, _, w in ends if end >= a - b))
-    min_stay = min(stay)
-    params = {"m": m, "a": a, "b": b}
-    first = make_report(
-        "mogulskii-min",
-        params,
-        p_min_le * min_stay,
-        p_end_le,
-        components={"reach_prob": p_min_le, "stay_prob": min_stay},
+    return (
+        prob(sum(w for _, low, _, w in ends if low)),
+        prob(sum(w for _, _, high, w in ends if high)),
+        prob(sum(w for end, _, _, w in ends if end <= a + b)),
+        prob(sum(w for end, _, _, w in ends if end >= a - b)),
+        stay,
     )
-    second = make_report(
-        "mogulskii-max",
-        params,
-        p_max_ge * min_stay,
-        p_end_ge,
-        components={"reach_prob": p_max_ge, "stay_prob": min_stay},
-    )
-    return first, second
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +633,11 @@ def check_walk_moment_bound(seq: IndependentSequence, p) -> InequalityReport:
     """Moment bound for the walk peak by the step peak and one quantile:
 
         E[peak^p] <= 2^(1+2p) * (E[step peak^p] + peak*(2^(-1-2p))^p).
+
+    When a side leaves the float range, their p-th roots are compared
+    instead, the right one as 2^((1+2p)/p) * M * (E[(step peak/M)^p] +
+    (peak*/M)^p)^(1/p) with M the larger of the step peak's largest value
+    and the quantile, as `ScalarLaw.moment_root` rescales.
     """
     _check_order(p)
     if p > MAX_EXACT_ORDER:
@@ -634,12 +656,21 @@ def check_walk_moment_bound(seq: IndependentSequence, p) -> InequalityReport:
     quantile = rearrangement_at(walk, level)
     lhs = walk.moment(p)
     rhs = scale * (step.moment(p) + pow_value(quantile, p))
+    note = None
+    if math.inf in (lhs, rhs):
+        top, r = max(step.max_value, quantile), float(p)
+        scaled = sum(float(q) * float(v / top) ** r for v, q in zip(step.values, step.probs))
+        scaled += float(quantile / top) ** r
+        lhs = walk.moment_root(p)
+        rhs = 2.0 ** ((1.0 + 2.0 * r) / r) * float(top) * scaled ** (1.0 / r)
+        note = "p-th roots compared: the p-th moments leave the float range"
     return make_report(
         "walk-moment-bound",
         {"p": p},
         lhs,
         rhs,
         components={"quantile_level": level, "walk_quantile": quantile},
+        note=note,
     )
 
 

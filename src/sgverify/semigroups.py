@@ -60,6 +60,7 @@ class MetricSemigroup:
     is_group: bool = False
     is_finite: bool = False
     is_exact: bool = False
+    is_associative: bool = True
 
     def compose(self, a: Element, b: Element) -> Element:
         raise NotImplementedError
@@ -533,6 +534,7 @@ class BrokenMultiplicativeRationals(MetricSemigroup):
 class BrokenSubtractionIntegers(MetricSemigroup):
     """Integers under subtraction with |a - b|: composition is not associative."""
 
+    is_associative = False
     is_abelian = False
     has_identity = False
     is_group = False
@@ -668,6 +670,7 @@ class CompletedMonoid(MetricSemigroup):
         self.is_group = base.is_group
         self.is_finite = base.is_finite
         self.is_exact = base.is_exact
+        self.is_associative = base.is_associative
         self.name = f"{base.name}+1"
         self.spec = f"{base.spec}+1"
 

@@ -3,7 +3,9 @@
 `enumerate_outcomes` walks the joint support; `product_magnitude_laws` and
 `product_step_peak_law` build the step magnitudes from each variable's atoms
 and the step peak as the product of their CDFs, the construction the
-push-forward replaced.
+push-forward replaced; `pair_pass_stay` gives the Mogulskii stay
+probabilities by a pass over pairs per window index, the construction the
+backward pass over suffix products replaced.
 """
 
 import itertools
@@ -11,7 +13,7 @@ import math
 from fractions import Fraction
 
 from sgverify import EnumerationCapError, ScalarLaw
-from sgverify.laws import DEFAULT_ENUMERATION_CAP
+from sgverify.laws import DEFAULT_ENUMERATION_CAP, _advance, _exact_weights, _product
 
 
 def enumerate_outcomes(seq, cap=DEFAULT_ENUMERATION_CAP):
@@ -53,3 +55,28 @@ def product_step_peak_law(seq):
             pairs.append((y, mass))
         prev_cdf = cdf
     return ScalarLaw.from_pairs(pairs)
+
+
+def pair_pass_stay(seq, m, b, cap=DEFAULT_ENUMERATION_CAP):
+    """[P(d(s_k, s_n) <= b) for k = m..n]: at each window index k the law of
+    s_k is pushed forward as pairs (s_k, s_j) from j = k to n, with the
+    weights of the exact engine; an empty sum stays the int 0."""
+    inst = seq.instance
+    start, product, _ = _product(inst)
+
+    def pair_step(state, x):
+        return state[0], product(state[1], x)
+
+    one, columns, denominator = _exact_weights(seq.variables)
+    states = {start: one}
+    stay = []
+    for k, atoms in enumerate(columns, 1):
+        states = _advance(states, atoms, product, k, cap)
+        if k < m:
+            continue
+        pairs = {(s, s): w for s, w in states.items()}
+        for j in range(k, seq.n):
+            pairs = _advance(pairs, columns[j], pair_step, j + 1, cap)
+        total = sum(w for (s_k, s_n), w in pairs.items() if inst.distance(s_k, s_n) <= b)
+        stay.append(Fraction(total, denominator) if denominator and total else total)
+    return stay

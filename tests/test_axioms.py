@@ -54,6 +54,30 @@ def test_broken_subtraction_fails_associativity():
     assert report.violations["associativity"] > 0
 
 
+@pytest.mark.parametrize(
+    "spec",
+    (
+        "cyclic:6",
+        "sym:4",
+        "graphgroup:3",
+        "int",
+        "posreal",
+        "posreal+1",
+        "real:2",
+        "real:2:sup",
+        "torus:1",
+        "torus:1:sup",
+        "broken:mulreal",
+        "broken:subint",
+        "wordmetric:sym:3",
+    ),
+)
+def test_associativity_flag_agrees_with_the_axiom_check(spec):
+    inst = parse_instance(spec)
+    report = verify_axioms(inst, samples=500, seed=5)
+    assert inst.is_associative == (report.violations["associativity"] == 0)
+
+
 def test_exhaustive_requires_finite():
     with pytest.raises(ValueError):
         verify_axioms(parse_instance("int"))

@@ -88,6 +88,17 @@ def test_check_mogulskii_flags(seq_file, tmp_path):
     assert all(r["holds"] for r in reports)
 
 
+@pytest.mark.parametrize(
+    "argv", [["--ineq", "mogulskii", "--m", "1", "--a", "1", "--b", "1"], ["--ineq", "all"]]
+)
+def test_check_mogulskii_refuses_a_non_associative_carrier(tmp_path, capsys, argv):
+    path = tmp_path / "subint.json"
+    step = {"atoms": [[1, "1/2"], [-2, "1/2"]]}
+    path.write_text(json.dumps({"instance": "broken:subint", "variables": [step] * 3}))
+    assert run(["check", str(path), *argv]) == 2
+    assert "associative" in capsys.readouterr().err
+
+
 def test_check_all_suite(seq_file, tmp_path):
     out = tmp_path / "rep.json"
     assert run(["check", seq_file, "--ineq", "all", "--out", str(out)]) == 0
@@ -272,6 +283,20 @@ def test_check_moments_beyond_the_float_range(tmp_path, atoms, argv):
             assert '"inf"' not in json.dumps(report)
             assert report.get("holds", True)
         assert '"nan"' not in json.dumps(report)
+
+
+def test_check_walk_moment_beyond_the_float_range_compares_roots(tmp_path):
+    # E[peak^p] of a 3-step +-20 walk overflows a float at p = 401/2; the
+    # bound is checked on p-th roots instead of reported as degenerate
+    path = tmp_path / "walk.json"
+    step = {"atoms": [[20, "1/2"], [-20, "1/2"]]}
+    path.write_text(json.dumps({"instance": "int", "variables": [step] * 3}))
+    out = tmp_path / "rep.json"
+    argv = ["check", str(path), "--ineq", "walk-moment", "--p", "401/2", "--out", str(out)]
+    assert run(argv) == 0
+    [report] = read_json(out)["results"]
+    assert "degenerate" not in report and report["holds"]
+    assert 0 < report["lhs"] <= 60 < report["rhs"] < 250
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -173,6 +175,14 @@ def test_mogulskii_randomized_windows():
             b = rng.choice(end_values)
             for rep in check_mogulskii(seq, m, a, b):
                 assert rep.slack >= 0, (seq.label, rep.to_jsonable())
+
+
+def test_mogulskii_refuses_a_non_associative_carrier():
+    subint = parse_instance("broken:subint")
+    step = DiscreteDistribution.of([(1, F(1, 2)), (-2, F(1, 2))])
+    seq = IndependentSequence.build(subint, [step] * 3)
+    with pytest.raises(ValueError, match="associative"):
+        check_mogulskii(seq, 1, 1, 1)
 
 
 # -- step-peak sandwiches ----------------------------------------------------
@@ -355,6 +365,33 @@ def test_walk_moment_bound_examples():
     rep = check_walk_moment_bound(rademacher_seq(3), 2)
     assert rep.engine["arithmetic"] == "rational"
     assert rep.slack >= 0
+
+
+@pytest.mark.parametrize("p", [200.5, 300.25, 500.0])
+def test_walk_moment_bound_compares_roots_beyond_the_float_range(p):
+    # On a 3-step +-20 walk E[peak^p] leaves the float range at these
+    # orders; both sides are compared as p-th roots, checked here against
+    # the same roots taken in 60-digit decimals
+    step = DiscreteDistribution.of([(20, F(1, 2)), (-20, F(1, 2))])
+    seq = IndependentSequence.build(IntegerAdditive(), [step] * 3)
+    rep = check_walk_moment_bound(seq, p)
+    assert rep.degenerate is None and rep.holds
+    assert rep.note and "roots" in rep.note
+    with decimal.localcontext(prec=60):
+        order = Decimal(p)
+
+        def moment(values, probs):
+            return sum(Decimal(v) ** order * Decimal(q.numerator) / q.denominator
+                       for v, q in zip(values, probs))
+
+        walk, peak = seq.walk_peak_law, seq.step_peak_law
+        quantile = Decimal(rep.components["walk_quantile"])
+        lhs = moment(walk.values, walk.probs) ** (1 / order)
+        rhs = (2 ** (1 + 2 * order) * (moment(peak.values, peak.probs) + quantile**order)) ** (
+            1 / order
+        )
+    assert rep.lhs == pytest.approx(float(lhs), rel=1e-12)
+    assert rep.rhs == pytest.approx(float(rhs), rel=1e-12)
 
 
 def test_spike_moment_bound_examples():

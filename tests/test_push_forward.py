@@ -3,6 +3,9 @@
 The exact engine is compared with `enumerate_outcomes`, a product over the
 joint support, on the full default corpus, on random small sequences and on
 sequences that mix int and Fraction probabilities, in value and in repr;
+every Mogulskii stay probability is also compared with `pair_pass_stay`,
+the pass over pairs per window index that the suffix-product pass replaced,
+and a carrier that is not associative must be refused;
 with float probabilities, with digests recorded before rational weights
 became integer numerators.  The magnitude and step-peak laws, which the
 same push-forward builds, are compared with the product of the magnitudes'
@@ -38,13 +41,19 @@ from sgverify import (
     parse_instance,
     sequence_from_config,
 )
-from sgverify import laws
+from sgverify import inequalities, laws
 from sgverify.corpus import CorpusSpec, generate_corpus, generate_sequence
+from sgverify.inequalities import _mogulskii_probabilities
 from sgverify.laws import DEFAULT_ENUMERATION_CAP, MAX_THRESHOLD_ATOMS, _statistic
 from sgverify.levy import PointSampler, UniformBoxSampler
-from sgverify.rng import uniform_block
+from sgverify.rng import derive_seed, uniform_block
 
-from law_oracles import enumerate_outcomes, product_magnitude_laws, product_step_peak_law
+from law_oracles import (
+    enumerate_outcomes,
+    pair_pass_stay,
+    product_magnitude_laws,
+    product_step_peak_law,
+)
 
 F = Fraction
 
@@ -59,6 +68,7 @@ EXACT_SPECS = (
     "broken:mulreal",
     "broken:subint",
 )
+ASSOCIATIVE_SPECS = tuple(spec for spec in EXACT_SPECS if parse_instance(spec).is_associative)
 
 
 def _add(masses, key, prob):
@@ -83,7 +93,8 @@ def oracle_laws(seq):
 
 
 def oracle_mogulskii(seq, m, a, b):
-    """(reach min, reach max, stay, end <= a+b, end >= a-b) by enumeration."""
+    """(reach min, reach max, end <= a+b, end >= a-b, [stay_k for k = m..n])
+    by enumeration."""
     inst, z0, z1 = seq.instance, seq.z0, seq.z1
     reach_min = reach_max = end_le = end_ge = 0
     stay = [0] * (seq.n - m + 1)
@@ -99,7 +110,7 @@ def oracle_mogulskii(seq, m, a, b):
         end_ge += prob if shifted[-1] >= a - b else 0
         for i, s in enumerate(window):
             stay[i] += prob if inst.distance(s, products[-1]) <= b else 0
-    return reach_min, reach_max, min(stay), end_le, end_ge
+    return reach_min, reach_max, end_le, end_ge, stay
 
 
 def assert_same(value, oracle):
@@ -116,11 +127,24 @@ def assert_matches_oracle(seq, m, a, b):
     assert_law_matches(exact_functional_law(seq, "walk_peak"), walk)
     assert_law_matches(exact_functional_law(seq, "end_distance"), end)
     assert_law_matches(exact_functional_law(seq, "step_peak"), step)
+    if not seq.instance.is_associative:
+        with pytest.raises(ValueError, match="associative"):
+            check_mogulskii(seq, m, a, b)
+        return
     low, high = check_mogulskii(seq, m, a, b)
-    reach_min, reach_max, stay, end_le, end_ge = oracle_mogulskii(seq, m, a, b)
-    assert_same(low.components, {"reach_prob": reach_min, "stay_prob": stay})
-    assert_same(high.components, {"reach_prob": reach_max, "stay_prob": stay})
+    oracle = oracle_mogulskii(seq, m, a, b)
+    assert_same(_mogulskii_probabilities(seq, m, a, b), oracle)
+    reach_min, reach_max, end_le, end_ge, stay = oracle
+    assert_same(low.components, {"reach_prob": reach_min, "stay_prob": min(stay)})
+    assert_same(high.components, {"reach_prob": reach_max, "stay_prob": min(stay)})
     assert_same((low.rhs, high.rhs), (end_le, end_ge))
+
+
+def assert_stay_matches_pair_pass(seq, b):
+    """Every stay_k, at every window start m, equals the pair pass's."""
+    stay = pair_pass_stay(seq, 1, b)
+    for m in range(1, seq.n + 1):
+        assert_same(_mogulskii_probabilities(seq, m, b, b)[-1], stay[m - 1 :])
 
 
 def test_exact_engine_matches_enumeration_on_default_corpus():
@@ -128,6 +152,7 @@ def test_exact_engine_matches_enumeration_on_default_corpus():
         ends = seq.end_distance_law.values
         radius = ends[(len(ends) - 1) // 2]
         assert_matches_oracle(seq, (seq.n + 1) // 2, radius, radius)
+        assert_stay_matches_pair_pass(seq, radius)
 
 
 @settings(max_examples=150, deadline=None)
@@ -149,6 +174,30 @@ def test_exact_engine_matches_enumeration_on_random_sequences(
     a = data.draw(st.sampled_from(seq.end_distance_law.values), label="a")
     b = data.draw(st.sampled_from(seq.walk_peak_law.values), label="b")
     assert_matches_oracle(seq, m, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=st.sampled_from(ASSOCIATIVE_SPECS),
+    seed=st.integers(0, 2**32),
+    max_len=st.integers(1, 6),
+    max_support=st.integers(1, 3),
+    data=st.data(),
+)
+def test_stay_probabilities_match_the_pair_pass(spec, seed, max_len, max_support, data):
+    inst = parse_instance(spec)
+    rng = random.Random(seed)
+    seq = generate_sequence(inst, rng, max_len, max_support, "random")
+    seq = seq.with_basepoints(inst.random_element(rng), inst.random_element(rng))
+    radii = sorted(
+        {0, *seq.end_distance_law.values, *seq.walk_peak_law.values, *seq.step_peak_law.values}
+    )
+    m = data.draw(st.integers(1, seq.n), label="m")
+    a = data.draw(st.sampled_from(radii), label="a")
+    b = data.draw(st.sampled_from(radii), label="b")
+    probabilities = _mogulskii_probabilities(seq, m, a, b)
+    assert_same(probabilities, oracle_mogulskii(seq, m, a, b))
+    assert_same(probabilities[-1], pair_pass_stay(seq, m, b))
 
 
 def test_exact_engine_matches_enumeration_with_int_and_fraction_probabilities():
@@ -180,6 +229,49 @@ def test_exact_engine_matches_enumeration_with_int_and_fraction_probabilities():
 def pm1_walk(n, up=F(1, 2), inst=None):
     var = DiscreteDistribution.of([(1, up), (-1, 1 - up)])
     return IndependentSequence.build(inst or IntegerAdditive(), [var] * n)
+
+
+def seeded_pm1_walk(n, seed=1):
+    """n independent +-1 steps, P(+1) drawn from {3/10, ..., 7/10}."""
+    draws = random.Random(derive_seed(seed, "long-walk", n))
+    steps = []
+    for _ in range(n):
+        up = F(draws.randint(3, 7), 10)
+        steps.append(DiscreteDistribution.of([(1, up), (-1, 1 - up)]))
+    return IndependentSequence.build(IntegerAdditive(), steps)
+
+
+def median_end_distance(seq):
+    ends = seq.end_distance_law.values
+    return ends[(len(ends) - 1) // 2]
+
+
+@pytest.mark.parametrize("m", [1, 50])
+def test_mogulskii_on_a_long_walk_holds_exactly(m):
+    seq = seeded_pm1_walk(100)
+    radius = median_end_distance(seq)
+    for report in check_mogulskii(seq, m, radius, radius):
+        assert report.engine["arithmetic"] == "rational"
+        assert report.slack >= 0, report.to_jsonable()
+
+
+@pytest.mark.parametrize("m", [1, 15])
+def test_mogulskii_on_a_30_step_walk_matches_the_pair_pass(m):
+    seq = seeded_pm1_walk(30)
+    radius = median_end_distance(seq)
+    stay = pair_pass_stay(seq, m, radius)
+    assert_same(_mogulskii_probabilities(seq, m, radius, radius)[-1], stay)
+    for report in check_mogulskii(seq, m, radius, radius):
+        assert_same(report.components["stay_prob"], min(stay))
+
+
+def test_mogulskii_window_over_the_state_cap(monkeypatch):
+    # Every layer of either pass stays within 100 (state, atom) pairs, but
+    # 11 partial products at window index 10 times 11 suffix products do not
+    seq = pm1_walk(20)
+    monkeypatch.setattr(inequalities, "DEFAULT_ENUMERATION_CAP", 100)
+    with pytest.raises(laws.EnumerationCapError, match="suffix products"):
+        check_mogulskii(seq, 1, 10**6, 1)
 
 
 def test_exact_law_beyond_the_outcome_cap_agrees_with_monte_carlo():
