@@ -344,6 +344,8 @@ def _first_given(*values):
 def check_config(args) -> dict:
     seq_config = _read_json(args.sequence)
     seq = sequence_from_config(seq_config)
+    # parsed once: `run_check` takes the sequence from here
+    args.check_sequence = seq
     # flags win over config-file engine preferences, which win over defaults
     engine = _first_given(args.engine, seq_config.get("engine"), "exact")
     mc = engine == "mc"
@@ -363,7 +365,9 @@ def run_check(config: dict, args):
     if name not in CHECKERS:
         raise ValueError(f"unknown inequality {name!r}")
     required, takes_mc, call = CHECKERS[name]
-    seq = sequence_from_config(config["sequence"])
+    seq = getattr(args, "check_sequence", None)
+    if seq is None:
+        seq = sequence_from_config(config["sequence"])
     flags = {key: CHECK_FLAGS[key][0](value) for key, value in config["flags"].items()}
     if any(key not in flags for key in required):
         raise ValueError(f"{name} needs " + " and ".join(f"--{key}" for key in required))

@@ -33,6 +33,7 @@ from .laws import (
     sequence_to_config,
 )
 from .rearrange import (
+    _excess_intervals,
     aggregate_tail,
     excess_tail_moment,
     pow_value,
@@ -140,7 +141,7 @@ def _is_zero(value) -> bool:
     return value.value == 0 if isinstance(value, Uncertain) else value == 0
 
 
-def _chain_report(name, params, links):
+def _chain_report(name, params, links, note=None):
     """Report for a chain q_0 <= q_1 <= ... <= q_m; slack is the worst link.
 
     A link whose two ends are the same float infinity (both beyond the float
@@ -172,6 +173,7 @@ def _chain_report(name, params, links):
         engine={"kind": "exact", "arithmetic": arithmetic},
         degenerate="infinite-links" if holds and len(gaps) < len(links) - 1 else None,
         components=dict(links),
+        note=note,
     )
 
 
@@ -180,6 +182,8 @@ def _chain_report(name, params, links):
 # never returns.  The walk-moment bound keeps every order below it, since
 # its scale 2^(1+2p) leaves the float range above p = 511.5.
 MAX_EXACT_ORDER = 500
+
+ROOTS_NOTE = "p-th roots compared: the p-th moments leave the float range"
 
 
 def _check_order(p, name="moment order", exact_powers=True):
@@ -476,20 +480,40 @@ def check_step_quantile_chain(seq: IndependentSequence, t) -> InequalityReport:
 
 def check_step_moment_sandwich(seq: IndependentSequence, t, p) -> InequalityReport:
     """Two-sided bound for E[step peak^p] via the aggregate quantile L and the
-    excess tail moment R: (t*L^p + R)/(1+t) <= E[peak^p] <= L^p + R."""
+    excess tail moment R: (t*L^p + R)/(1+t) <= E[peak^p] <= L^p + R.
+
+    When a side leaves the float range, the p-th roots of the three are
+    compared instead, each as M * (its value / M^p)^(1/p) with M the larger
+    of the step peak's largest value and L, as `ScalarLaw.moment_root`
+    rescales."""
     if t <= 0:
         raise ValueError("t must be positive")
     _check_order(p)
     mags = aggregate_tail(seq)
+    step = seq.step_peak_law
     cut = tail_sum_inverse(mags, t)
     extra = excess_tail_moment(mags, t, p)
     cut_p = pow_value(cut, p)
     links = [
         ("lower", (t * cut_p + extra) / (1 + t)),
-        ("step_peak_moment", seq.step_peak_law.moment(p)),
+        ("step_peak_moment", step.moment(p)),
         ("upper", cut_p + extra),
     ]
-    return _chain_report("step-moment-sandwich", {"t": t, "p": p}, links)
+    note = None
+    if math.inf in [value for _, value in links]:
+        top, r = max(step.max_value, cut), float(p)
+        cut_p = float(cut / top) ** r
+        extra = sum(
+            float(tau) * (float(b / top) ** r - float(a / top) ** r)
+            for tau, a, b in _excess_intervals(mags, cut)
+        )
+        links = [
+            ("lower", float(top) * ((float(t) * cut_p + extra) / (1 + float(t))) ** (1 / r)),
+            ("step_peak_moment", step.moment_root(p)),
+            ("upper", float(top) * (cut_p + extra) ** (1 / r)),
+        ]
+        note = ROOTS_NOTE
+    return _chain_report("step-moment-sandwich", {"t": t, "p": p}, links, note)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +687,7 @@ def check_walk_moment_bound(seq: IndependentSequence, p) -> InequalityReport:
         scaled += float(quantile / top) ** r
         lhs = walk.moment_root(p)
         rhs = 2.0 ** ((1.0 + 2.0 * r) / r) * float(top) * scaled ** (1.0 / r)
-        note = "p-th roots compared: the p-th moments leave the float range"
+        note = ROOTS_NOTE
     return make_report(
         "walk-moment-bound",
         {"p": p},

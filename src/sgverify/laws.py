@@ -7,10 +7,9 @@ equal states:
 * the exact engine keeps a dict from state to weight.  When every
   probability is rational the weights are integer numerators over one
   common denominator, the product of each variable's lcm of probability
-  denominators, and become Fractions only once equal values of the
-  statistic have been merged, so downstream inequality checks certify at
-  zero tolerance without a gcd per addition; float probabilities give
-  float weights;
+  denominators, and stay integers in the law they build, so downstream
+  inequality checks certify at zero tolerance without a gcd per addition;
+  float probabilities give float weights;
 * seeded Monte Carlo keeps one state id per trial, where trial t's
   randomness is a pure function of (seed, t), making results independent
   of execution order and chunking.  A trial's atom in a column of k atoms
@@ -145,9 +144,15 @@ class DiscreteDistribution:
     def support(self) -> tuple:
         return tuple(e for e, _ in self.atoms)
 
-    @property
+    @cached_property
     def is_rational(self) -> bool:
         return all(is_rational(p) for _, p in self.atoms)
+
+    @cached_property
+    def weights_over_lcm(self) -> tuple:
+        """(L, ((element, p * L), ...)) of `_over_lcm`."""
+        lcm, weights = _over_lcm([p for _, p in self.atoms])
+        return lcm, tuple(zip(self.support, weights))
 
 
 class Sampler:
@@ -171,6 +176,20 @@ def _variable_is_discrete(var) -> bool:
 # scalar laws on [0, oo)
 
 
+def tail_level(t, denominator: int, exact: bool):
+    """What tail sums over `denominator` are compared with to decide tail <= t:
+    floor(t * denominator) for int sums; for float sums or a nan or inf, t."""
+    if not exact:
+        return t
+    try:
+        num, den = t.as_integer_ratio()
+    except (OverflowError, ValueError):
+        return t
+    except AttributeError:  # numpy integers
+        num, den = Fraction(t).as_integer_ratio()
+    return num * denominator // den
+
+
 @dataclass(frozen=True)
 class ScalarLaw:
     """A law on [0, oo): sorted distinct values with positive weights.
@@ -178,6 +197,12 @@ class ScalarLaw:
     ``kind`` is "exact" for enumerated/analytic laws and "empirical" for
     Monte Carlo output, which keeps (trials, seed) provenance and represents
     the empirical measure exactly as counts/trials.
+
+    However it is built, a law keeps its probabilities as `_weights` over
+    one `_denominator` D, with their suffix sums `_tails` (0 last).  When
+    every probability is rational (`_exact`) these are ints, and `probs` and
+    the tail probabilities `_suffix` become Fractions on first use;
+    otherwise they are the probabilities and their sums, with D = 1.
     """
 
     values: tuple
@@ -191,10 +216,29 @@ class ScalarLaw:
             raise ValueError("scalar law needs at least one value")
         if any(v < 0 for v in self.values):
             raise ValueError("scalar law values must be nonnegative")
-        suffix = [0] * (len(self.values) + 1)
-        for i in range(len(self.values) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + self.probs[i]
-        object.__setattr__(self, "_suffix", tuple(suffix))
+        if all(is_rational(p) for p in self.probs):
+            self._keep_weights(*_over_lcm(self.probs))
+        else:
+            self._keep_weights(1, self.probs, exact=False)
+            self.__dict__["_suffix"] = self._tails
+
+    def _keep_weights(self, denominator, weights, exact=True):
+        tails = tuple(itertools.accumulate(reversed(weights), initial=0))[::-1]
+        self.__dict__.update(
+            _weights=tuple(weights), _tails=tails, _denominator=denominator, _exact=exact
+        )
+
+    def __getattr__(self, name):
+        # reached only while a law made by `from_weights` has no `probs` yet
+        if name != "probs":
+            raise AttributeError(name)
+        self.__dict__["probs"] = tuple(Fraction(w, self._denominator) for w in self._weights)
+        return self.probs
+
+    @cached_property
+    def _suffix(self) -> tuple:
+        """P(X > values[i - 1]) at i, from `_tails`."""
+        return (*(Fraction(t, self._denominator) for t in self._tails[:-1]), 0)
 
     @staticmethod
     def from_pairs(
@@ -233,7 +277,7 @@ class ScalarLaw:
         `denominator`.
 
         The values are sorted once and the mass is checked in ints; the
-        probabilities and tail sums become Fractions only at the end, equal
+        probabilities and tail sums become Fractions only on first use, equal
         in value and repr to those `from_pairs` makes from the same law.
         """
         items = sorted(zip(values, weights), key=itemgetter(0))
@@ -247,20 +291,12 @@ class ScalarLaw:
         total = sum(weights)
         if total != denominator:
             raise ValueError(f"law mass is {Fraction(total, denominator)}, not 1")
-        tails = itertools.accumulate(reversed(weights))
-        suffix = [Fraction(t, denominator) for t in tails][::-1]
-        suffix.append(0)
-        # Built without __init__: __post_init__ would re-check the values
-        # and re-sum the tails as Fractions.
+        # Built without __init__, which would need the probabilities.
         law = object.__new__(ScalarLaw)
         law.__dict__.update(
-            values=tuple(v for v, _ in items),
-            probs=tuple(Fraction(w, denominator) for w in weights),
-            kind=kind,
-            trials=trials,
-            seed=seed,
-            _suffix=tuple(suffix),
+            values=tuple(v for v, _ in items), kind=kind, trials=trials, seed=seed
         )
+        law._keep_weights(denominator, weights)
         return law
 
     @staticmethod
@@ -281,11 +317,9 @@ class ScalarLaw:
     def point_mass(value) -> "ScalarLaw":
         return ScalarLaw((value,), (Fraction(1),))
 
-    @property
+    @cached_property
     def is_rational(self) -> bool:
-        return all(is_rational(v) for v in self.values) and all(
-            is_rational(p) for p in self.probs
-        )
+        return self._exact and all(is_rational(v) for v in self.values)
 
     @property
     def is_empirical(self) -> bool:
@@ -311,20 +345,26 @@ class ScalarLaw:
         """E[X^p]; exact (Fraction) when p is a positive int on a rational law,
         else a float, math.inf when a power leaves the float range.
 
-        Memoised per (type(p), p) in the law's own __dict__.
+        Exact: one int sum over D * lcm(value denominators^p); float: w / D
+        for each probability, rounded as float(Fraction(w, D)).  Memoised
+        per (type(p), p) in the law's own __dict__.
         """
         if p <= 0:
             raise ValueError("moment order must be positive")
         memo = self.__dict__.setdefault("_moments", {})
         key = (type(p), p)
         if key not in memo:
+            weights, denominator = self._weights, self._denominator
             if isinstance(p, int) and not isinstance(p, bool) and self.is_rational:
-                memo[key] = sum(prob * v**p for v, prob in zip(self.values, self.probs))
+                powers = [(v.numerator**p, v.denominator**p) for v in self.values]
+                scale = math.lcm(*(b for _, b in powers))
+                total = sum(w * a * (scale // b) for (a, b), w in zip(powers, weights))
+                memo[key] = Fraction(total, denominator * scale)
             else:
                 try:
                     memo[key] = sum(
-                        float(prob) * float(v) ** float(p)
-                        for v, prob in zip(self.values, self.probs)
+                        w / denominator * float(v) ** float(p)
+                        for v, w in zip(self.values, weights)
                     )
                 except OverflowError:
                     memo[key] = math.inf
@@ -347,10 +387,8 @@ class ScalarLaw:
             moment = root = math.inf
         if not self.max_value or (moment >= sys.float_info.min and root < math.inf):
             return root
-        top, r = self.max_value, float(p)
-        scaled = sum(
-            float(prob) * float(v / top) ** r for v, prob in zip(self.values, self.probs)
-        )
+        top, r, d = self.max_value, float(p), self._denominator
+        scaled = sum(w / d * float(v / top) ** r for v, w in zip(self.values, self._weights))
         return float(top) * scaled ** (1.0 / r)
 
     def mean(self):
@@ -529,9 +567,19 @@ def _statistic(seq: IndependentSequence, statistic) -> tuple:
     if statistic == END_DISTANCE:
         return z0, compose, lambda position: distance(z1, position)
     if statistic == STEP_PEAK:
+        # each atom's magnitude, once per sequence; keyed by the atom's
+        # identity, so that 1 and Fraction(1) stay apart and no draw of a
+        # sampler is kept
+        magnitudes = seq.derived(STEP_PEAK, lambda: dict.fromkeys(
+            id(x) for var in seq.variables if _variable_is_discrete(var) for x in var.support
+        ))
 
         def step_peak(peak, x):
-            mag = distance(z0, compose(z0, x))
+            mag = magnitudes.get(id(x))
+            if mag is None:
+                mag = distance(z0, compose(z0, x))
+                if id(x) in magnitudes:
+                    magnitudes[id(x)] = mag
             return mag if peak is None or mag > peak else peak
 
         return None, step_peak, lambda peak: peak
@@ -569,20 +617,15 @@ def _exact_weights(variables) -> tuple:
     exact push-forward.
 
     When every probability is rational, a variable's atoms carry the integer
-    weights p * L, with L the lcm of its probability denominators, so the
-    weights stay integers over the denominator D, the product of the L's.
+    weights p * L of `DiscreteDistribution.weights_over_lcm`, so the weights
+    stay integers over the denominator D, the product of the L's.
     Otherwise the weights are the products of the probabilities themselves
     and the denominator is None.
     """
     if not all(var.is_rational for var in variables):
         return Fraction(1), [var.atoms for var in variables], None
-    columns = []
-    denominator = 1
-    for var in variables:
-        lcm, weights = _over_lcm([p for _, p in var.atoms])
-        columns.append(tuple(zip(var.support, weights)))
-        denominator *= lcm
-    return 1, columns, denominator
+    lcms, columns = zip(*(var.weights_over_lcm for var in variables))
+    return 1, list(columns), math.prod(lcms)
 
 
 def _over_lcm(probs) -> tuple:
@@ -862,6 +905,10 @@ def _prob_to_json(p):
 
 def _prob_from_json(j):
     if isinstance(j, str):
+        # the plain "p/q" form from ints; every other form Fraction parses
+        num, _, den = j.partition("/")
+        if num.isdecimal() and den.isdecimal():
+            return Fraction(int(num), int(den))
         return Fraction(j)
     if isinstance(j, bool):
         raise ValueError("probability cannot be a boolean")

@@ -4,8 +4,9 @@ truncations, and the tail-integral moment pieces.
 Everything operates on `ScalarLaw` values.  For exact laws the computations
 are closed-form over the finitely many tail steps; nothing is ever estimated
 by quadrature.  Quantiles are bisections on precomputed tails: a law's
-suffix sums, and the `AggregateTail` table of the summed magnitude tails,
-which a sequence builds once (`aggregate_tail`) and every checker shares.
+tail sums, and the `AggregateTail` table of the summed magnitude tails,
+which a sequence builds once (`aggregate_tail`) and every checker shares;
+on exact laws both are integers, compared with floor(t * D).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .laws import DiscreteDistribution, IndependentSequence, ScalarLaw, is_rational
+from .laws import DiscreteDistribution, IndependentSequence, ScalarLaw, is_rational, tail_level
 from .reports import InequalityReport, make_report
 from .semigroups import MetricSemigroup
 
@@ -28,13 +29,15 @@ def rearrangement_at(law: ScalarLaw, t):
     Right-continuous and nonincreasing in t; X*(1) = 0 always.  Values of
     t above 1 are accepted (the sup is empty there); negative t is an error.
     The answer is the first value v with P(X > v) <= t, found by bisection
-    on the nonincreasing suffix sums (P(X > values[i]) is suffix[i + 1]).
+    on the nonincreasing tail sums (P(X > values[i]) is tails[i + 1]), in
+    ints with floor(t * D) on an exact law.
     """
-    if t < 0:
+    level, tails = tail_level(t, law._denominator, law._exact), law._tails
+    if level < 0:  # exactly when t < 0
         raise ValueError(f"rearrangement argument must be >= 0, got {t}")
-    if law.tail(0) <= t:
+    if tails[bisect_right(law.values, 0)] <= level:
         return 0
-    return law.values[bisect_left(law._suffix, True, 1, key=lambda tail: tail <= t) - 1]
+    return law.values[bisect_left(tails, True, 1, key=lambda tail: tail <= level) - 1]
 
 
 @dataclass(frozen=True)
@@ -91,22 +94,34 @@ class AggregateTail(tuple):
 
     The functions below accept any sequence of laws and tabulate it on each
     call; given an `AggregateTail` they use its table, so a sequence builds
-    it once (`aggregate_tail`) and every checker shares it.  Each S(v) is
-    summed in the order of the laws, as `tail_sum` does, so float tails come
-    out bit for bit the same.
+    it once (`aggregate_tail`) and every checker shares it.  When every law
+    is exact, S is summed in ints over the lcm D of their denominators;
+    otherwise each S(v) is summed from the laws' tails in their order, as
+    `tail_sum` does, so float tails come out bit for bit the same (D = 1).
     """
 
     def __init__(self, laws: Iterable[ScalarLaw]):
         if not self:
             raise ValueError("empty family of magnitude laws")
-        self.at_zero = tail_sum(self, 0)
+        self.exact = all(law._exact for law in self)
+        scale = math.lcm(*(law._denominator for law in self)) if self.exact else 1
+        self.denominator = scale
+        columns = [
+            [t * (scale // law._denominator) for t in law._tails] if self.exact else law._suffix
+            for law in self
+        ]
+
+        def total(x):
+            return sum(col[bisect_right(law.values, x)] for law, col in zip(self, columns))
+
+        self.at_zero = total(0)
         self.grid = sorted({v for law in self for v in law.values})
-        self.sums = [tail_sum(self, v) for v in self.grid]
+        self.sums = [total(v) for v in self.grid]
 
     @cached_property
     def inverse_law(self) -> ScalarLaw:
-        """`tail_sum_inverse_law` of the family."""
-        one = Fraction(1)
+        """`tail_sum_inverse_law` of the family, in weights over D."""
+        one = self.denominator if self.exact else Fraction(1)
         prev = min(one, self.at_zero)
         pairs = []
         if one - prev > 0:
@@ -117,6 +132,8 @@ class AggregateTail(tuple):
                 if prev - cur > 0:
                     pairs.append((v, prev - cur))
                 prev = cur
+        if self.exact:
+            return ScalarLaw.from_weights(*zip(*pairs), one)
         return ScalarLaw.from_pairs(pairs)
 
 
@@ -139,9 +156,10 @@ def tail_sum_inverse(laws: Sequence[ScalarLaw], t):
     if t <= 0:
         raise ValueError(f"tail-sum inverse needs t > 0, got {t}")
     table = _aggregate(laws)
-    if table.at_zero <= t:
+    level = tail_level(t, table.denominator, table.exact)
+    if table.at_zero <= level:
         return 0
-    return table.grid[bisect_left(table.sums, True, key=lambda total: total <= t)]
+    return table.grid[bisect_left(table.sums, True, key=lambda total: total <= level)]
 
 
 def tail_sum_inverse_law(laws: Sequence[ScalarLaw]) -> ScalarLaw:
@@ -164,23 +182,29 @@ def pow_value(v, p):
         return math.inf
 
 
+def _excess_intervals(laws: Sequence[ScalarLaw], cut):
+    """(P(Y_i > a), a, b) for each interval [a, b) above `cut` on which a
+    magnitude tail is constant and positive."""
+    for law in laws:
+        points = [cut, *law.values[bisect_right(law.values, cut) :]]
+        for a, b in zip(points, points[1:]):
+            tau = law.tail(a)
+            if tau > 0:
+                yield tau, a, b
+
+
 def excess_tail_moment(laws: Sequence[ScalarLaw], t, p):
     """p * sum_i int_{L}^{inf} u^(p-1) P(Y_i > u) du with L the tail-sum
     inverse at t, evaluated in closed form over the tail constancy intervals;
     math.inf once a power u^p leaves the float range."""
     if p <= 0:
         raise ValueError("moment order must be positive")
-    cut = tail_sum_inverse(laws, t)
     total = 0
-    for law in laws:
-        points = [cut, *law.values[bisect_right(law.values, cut) :]]
-        for a, b in zip(points, points[1:]):
-            tau = law.tail(a)
-            if tau > 0:
-                top = pow_value(b, p)
-                if top == math.inf:
-                    return math.inf
-                total = total + tau * (top - pow_value(a, p))
+    for tau, a, b in _excess_intervals(laws, tail_sum_inverse(laws, t)):
+        top = pow_value(b, p)
+        if top == math.inf:
+            return math.inf
+        total = total + tau * (top - pow_value(a, p))
     return total
 
 

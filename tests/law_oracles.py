@@ -5,15 +5,27 @@
 and the step peak as the product of their CDFs, the construction the
 push-forward replaced; `pair_pass_stay` gives the Mogulskii stay
 probabilities by a pass over pairs per window index, the construction the
-backward pass over suffix products replaced.
+backward pass over suffix products replaced.  `fraction_rearrangement_at`,
+`fraction_tail_sum_inverse`, `FractionAggregateTail` and `fraction_moment`
+are the quantile layer and the moments on Fraction probabilities and tail
+sums, compared with the argument as it is, which the integer weights and
+tails replaced.
 """
 
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
 
-from sgverify import EnumerationCapError, ScalarLaw
-from sgverify.laws import DEFAULT_ENUMERATION_CAP, _advance, _exact_weights, _product
+from sgverify import EnumerationCapError, ScalarLaw, tail_sum
+from sgverify.laws import (
+    DEFAULT_ENUMERATION_CAP,
+    _advance,
+    _exact_weights,
+    _product,
+    is_rational,
+)
 
 
 def enumerate_outcomes(seq, cap=DEFAULT_ENUMERATION_CAP):
@@ -80,3 +92,71 @@ def pair_pass_stay(seq, m, b, cap=DEFAULT_ENUMERATION_CAP):
         total = sum(w for (s_k, s_n), w in pairs.items() if inst.distance(s_k, s_n) <= b)
         stay.append(Fraction(total, denominator) if denominator and total else total)
     return stay
+
+
+def fraction_rearrangement_at(law, t):
+    """X*(t): the first value v with P(X > v) <= t, by bisection on the
+    Fraction tail sums."""
+    if t < 0:
+        raise ValueError(f"rearrangement argument must be >= 0, got {t}")
+    if law.tail(0) <= t:
+        return 0
+    return law.values[bisect_left(law._suffix, True, 1, key=lambda tail: tail <= t) - 1]
+
+
+class FractionAggregateTail(tuple):
+    """The summed tails S(x) of a family of laws on the merged grid of their
+    values, each S(v) summed from the laws' tails in their order."""
+
+    def __init__(self, laws):
+        if not self:
+            raise ValueError("empty family of magnitude laws")
+        self.at_zero = tail_sum(self, 0)
+        self.grid = sorted({v for law in self for v in law.values})
+        self.sums = [tail_sum(self, v) for v in self.grid]
+
+    @cached_property
+    def inverse_law(self):
+        """The law on [0, 1] whose tail function is min(1, S)."""
+        one = Fraction(1)
+        prev = min(one, self.at_zero)
+        pairs = []
+        if one - prev > 0:
+            pairs.append((0, one - prev))
+        for v, total in zip(self.grid, self.sums):
+            if v > 0:
+                cur = min(one, total)
+                if prev - cur > 0:
+                    pairs.append((v, prev - cur))
+                prev = cur
+        return ScalarLaw.from_pairs(pairs)
+
+
+def fraction_tail_sum_inverse(laws, t):
+    """inf{y > 0 : S(y) <= t}: the first grid value with S <= t, by
+    bisection; 0 when S(0) <= t."""
+    if t <= 0:
+        raise ValueError(f"tail-sum inverse needs t > 0, got {t}")
+    table = laws if isinstance(laws, FractionAggregateTail) else FractionAggregateTail(laws)
+    if table.at_zero <= t:
+        return 0
+    return table.grid[bisect_left(table.sums, True, key=lambda total: total <= t)]
+
+
+def fraction_moment(law, p):
+    """E[X^p] summed over the probabilities: exact for a positive int p on a
+    law of rational values and probabilities, else a float, math.inf beyond
+    the float range."""
+    if p <= 0:
+        raise ValueError("moment order must be positive")
+    pairs = list(zip(law.values, law.probs))
+    if (
+        isinstance(p, int)
+        and not isinstance(p, bool)
+        and all(is_rational(v) and is_rational(prob) for v, prob in pairs)
+    ):
+        return sum(prob * v**p for v, prob in pairs)
+    try:
+        return sum(float(prob) * float(v) ** float(p) for v, prob in pairs)
+    except OverflowError:
+        return math.inf

@@ -299,6 +299,37 @@ def test_check_walk_moment_beyond_the_float_range_compares_roots(tmp_path):
     assert 0 < report["lhs"] <= 60 < report["rhs"] < 250
 
 
+def test_check_moment_sandwich_beyond_the_float_range_compares_roots(tmp_path):
+    # E[step peak^p] of a 3-step +-20 walk overflows a float at p = 501/2;
+    # the chain is checked on p-th roots instead of reported as degenerate
+    path = tmp_path / "walk.json"
+    step = {"atoms": [[20, "1/2"], [-20, "1/2"]]}
+    path.write_text(json.dumps({"instance": "int", "variables": [step] * 3}))
+    out = tmp_path / "rep.json"
+    argv = ["check", str(path), "--ineq", "moment-sandwich", "--t", "1/2", "--p", "501/2"]
+    assert run([*argv, "--out", str(out)]) == 0
+    [report] = read_json(out)["results"]
+    assert "degenerate" not in report and report["holds"]
+    assert "roots" in report["note"]
+    # every step peak is 20: the middle and upper roots are 20 itself
+    assert report["components"]["step_peak_moment"] == report["rhs"] == 20.0
+    assert report["lhs"] == pytest.approx(20 * (1 / 3) ** (2 / 501), rel=1e-12)
+
+
+def test_check_parses_its_sequence_once(seq_file, tmp_path, monkeypatch):
+    calls = []
+    parse = cli.sequence_from_config
+    monkeypatch.setattr(cli, "sequence_from_config", lambda c: calls.append(c) or parse(c))
+    out = tmp_path / "all.json"
+    assert run(["check", seq_file, "--ineq", "all", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    # replay has no parsed sequence to reuse: it parses the embedded config
+    replayed = tmp_path / "replayed.json"
+    assert run(["replay", str(out), "--out", str(replayed)]) == 0
+    assert len(calls) == 2
+    assert replayed.read_bytes() == out.read_bytes()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("flag", ["c", "cprime", "eps", "eta"])
 def test_check_non_finite_constants_are_usage_errors(seq_file, flag, value, capsys):

@@ -394,6 +394,41 @@ def test_walk_moment_bound_compares_roots_beyond_the_float_range(p):
     assert rep.rhs == pytest.approx(float(rhs), rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [250.5, 300.25, 400.75])
+def test_step_moment_sandwich_compares_roots_beyond_the_float_range(p):
+    # Steps 20, -20 or 3: E[step peak^p] leaves the float range at these
+    # orders, and the chain is compared on p-th roots, checked here against
+    # the same roots taken in 60-digit decimals.  At t = 3/2 the aggregate
+    # quantile is L = 3 (the summed magnitude tails are 3/2 on [3, 20)), so
+    # the excess tail moment is R = 3 * 1/2 * (20^p - 3^p).
+    step = DiscreteDistribution.of([(20, F(1, 4)), (-20, F(1, 4)), (3, F(1, 2))])
+    seq = IndependentSequence.build(IntegerAdditive(), [step] * 3)
+    t = F(3, 2)
+    rep = check_step_moment_sandwich(seq, t, p)
+    assert rep.degenerate is None and rep.holds
+    assert rep.note and "roots" in rep.note
+    with decimal.localcontext(prec=60):
+        order, level = Decimal(p), Decimal(3) / 2
+        cut_p, top_p = Decimal(3) ** order, Decimal(20) ** order
+        extra = 3 * (top_p - cut_p) / 2
+        expected = {
+            "lower": ((level * cut_p + extra) / (1 + level)) ** (1 / order),
+            "step_peak_moment": (cut_p / 8 + 7 * top_p / 8) ** (1 / order),
+            "upper": (cut_p + extra) ** (1 / order),
+        }
+    for name, value in expected.items():
+        assert rep.components[name] == pytest.approx(float(value), rel=1e-12), name
+    assert (rep.lhs, rep.rhs) == (rep.components["lower"], rep.components["upper"])
+
+
+def test_step_moment_sandwich_in_the_float_range_compares_moments():
+    step = DiscreteDistribution.of([(20, F(1, 4)), (-20, F(1, 4)), (3, F(1, 2))])
+    seq = IndependentSequence.build(IntegerAdditive(), [step] * 3)
+    rep = check_step_moment_sandwich(seq, F(3, 2), 200.5)
+    assert rep.note is None and rep.holds
+    assert rep.components["step_peak_moment"] == seq.step_peak_law.moment(200.5)
+
+
 def test_spike_moment_bound_examples():
     seq = rademacher_seq(2)
     rep = check_spike_moment_bound(seq, F(1, 2), 1)

@@ -507,6 +507,37 @@ def test_int_probabilities_give_fraction_laws():
             assert all(type(p) is Fraction for p in law.probs), law
 
 
+def test_step_peak_magnitudes_are_computed_once_per_atom():
+    line = CountingIntegers()
+    variables = [
+        DiscreteDistribution.of([(x, F(1, 4)) for x in (-700, 300 + i, 900, -900)])
+        for i in range(5)
+    ]
+    seq = IndependentSequence.build(line, variables)
+    atoms = {id(x) for var in variables for x in var.support}
+    seq.magnitude_laws, seq.step_peak_law
+    assert line.distance_calls == len(atoms) < 4 * len(variables)
+    monte_carlo_law(seq, "step_peak", trials=500, seed=3)
+    assert line.distance_calls == len(atoms)
+    # a fresh sequence of the same variables computes them afresh
+    fresh = seq.with_basepoints(seq.z0, seq.z1)
+    assert fresh.step_peak_law == seq.step_peak_law
+    assert line.distance_calls == 2 * len(atoms)
+
+
+def test_step_peak_magnitudes_of_equal_atoms_of_different_types_stay_apart():
+    # on posreal with z0 = 1, the atom 1 has magnitude |1 - 2| = 1 and the
+    # atom Fraction(1) has magnitude Fraction(1)
+    half = PositiveRationalsAdditive()
+    variables = [DiscreteDistribution.of([(1, F(1))]), DiscreteDistribution.of([(F(1), F(1))])]
+    seq = IndependentSequence.build(half, variables)
+    mags = seq.magnitude_laws
+    assert [type(law.values[0]) for law in mags] == [int, Fraction]
+    assert repr(mags) == repr(product_magnitude_laws(seq))
+    walk = monte_carlo_law(seq.with_variables(variables[::-1]), "step_peak", trials=10, seed=0)
+    assert repr(walk.values) == repr((F(1),))
+
+
 
 def reference_monte_carlo_law(seq, statistic, trials, seed, chunk_size=8192, sizes=None):
     """The column loop the engine replaced: each trial's atom by a binary
@@ -660,11 +691,15 @@ def test_monte_carlo_engine_matches_reference_on_adversarial_columns(name):
 class CountingIntegers(IntegerAdditive):
     def __init__(self):
         super().__init__()
-        self.compose_calls = 0
+        self.compose_calls = self.distance_calls = 0
 
     def compose(self, a, b):
         self.compose_calls += 1
         return a + b
+
+    def distance(self, a, b):
+        self.distance_calls += 1
+        return abs(a - b)
 
 
 def test_monte_carlo_steps_each_transition_once_per_epoch():
