@@ -42,13 +42,10 @@ from .laws import (
     DiscreteDistribution,
     EnumerationCapError,
     IndependentSequence,
-    PathTrace,
-    Sampler,
     ScalarLaw,
     exact_functional_law,
     mc_tail_agreement,
     monte_carlo_law,
-    path_trace,
     sequence_from_config,
     sequence_to_config,
 )
@@ -62,15 +59,11 @@ from .levy import (
     simulate_walk,
 )
 from .rearrange import (
-    Rearrangement,
     check_rearrangement_transfer,
     excess_tail_moment,
     rearrangement_at,
-    rearrangement_grid_law,
-    tail_sum,
     tail_sum_inverse,
     tail_sum_inverse_law,
-    tail_sup_distance,
     truncate,
     truncate_upper,
     TransferTuple,

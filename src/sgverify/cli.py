@@ -195,6 +195,14 @@ def _read_json(path: str):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+class _ReplayConfig(dict):
+    """A replayed config: a key that `run` needs and the file lacks is a
+    usage error that names the key."""
+
+    def __missing__(self, key):
+        raise ValueError(f"replay config lacks {key!r}")
+
+
 # ---------------------------------------------------------------------------
 # Each `run(config, args)` below works from the JSON form of its config.
 # `args` holds the invoking command's arguments and supplies only what the
@@ -392,6 +400,15 @@ def run_check(config: dict, args):
 def sweep_config(args) -> dict:
     if args.corpus != "default":
         blob = _read_json(args.corpus)
+        if not (
+            isinstance(blob, dict)
+            and isinstance(blob.get("config"), dict)
+            and isinstance(blob.get("sequences"), list)
+        ):
+            raise ValueError(
+                f"corpus file {args.corpus} must be an object with a 'config' object "
+                "and a 'sequences' list"
+            )
         spec = CorpusSpec.from_config(blob["config"])
         # the file is parsed once: `run_sweep` takes its sequences from here
         args.corpus_sequences = blob["sequences"]
@@ -493,10 +510,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "replay":
             blob = _read_json(args.output)
+            if not isinstance(blob, dict):
+                raise ValueError(f"replay input must be an output object, not {blob!r}")
             command = blob.get("command")
             if command not in COMMANDS:
                 raise ValueError(f"replay does not support command {command!r}")
-            config = blob["config"]
+            if not isinstance(blob.get("config"), dict):
+                raise ValueError(f"replay 'config' must be an object, not {blob.get('config')!r}")
+            config = _ReplayConfig(blob["config"])
         else:
             command = args.command
             config = to_jsonable(COMMANDS[command][0](args))

@@ -399,8 +399,6 @@ def _mogulskii_probabilities(seq: IndependentSequence, m: int, a, b) -> tuple:
         raise ValueError(f"window start must be in 1..{n}, got {m}")
     if a < 0 or b < 0:
         raise ValueError("radii must be nonnegative")
-    if not seq.is_exact:
-        raise ValueError("exact laws need finitely supported variables")
     if not inst.is_associative:
         raise ValueError(f"Mogulskii needs an associative composition; {inst.name} is not")
     compose, distance, z0, z1 = inst.compose, inst.distance, seq.z0, seq.z1

@@ -1,5 +1,6 @@
 """Independent step sequences and the laws of their path statistics.
 
+Every step is a `DiscreteDistribution`, a law with finitely many atoms.
 Each statistic is a transition step(state, x) plus value(state), and two
 engines push a measure on states forward one variable at a time, merging
 equal states:
@@ -153,23 +154,6 @@ class DiscreteDistribution:
         """(L, ((element, p * L), ...)) of `_over_lcm`."""
         lcm, weights = _over_lcm([p for _, p in self.atoms])
         return lcm, tuple(zip(self.support, weights))
-
-
-class Sampler:
-    """Draws one element from a fixed number of uniforms (duck-typed).
-
-    Implementations provide ``width`` (uniforms consumed per draw) and
-    ``draw(u)`` mapping a length-`width` float sequence to an element.
-    """
-
-    width: int = 1
-
-    def draw(self, u: Sequence[float]):
-        raise NotImplementedError
-
-
-def _variable_is_discrete(var) -> bool:
-    return isinstance(var, DiscreteDistribution)
 
 
 # ---------------------------------------------------------------------------
@@ -414,23 +398,13 @@ class ScalarLaw:
 # sequences and path statistics
 
 
-@dataclass(frozen=True)
-class PathTrace:
-    """Per-index path statistics for one outcome."""
-
-    products: tuple
-    peaks: tuple  # running max of d(z1, z0 * s_j)
-    steps: tuple  # step magnitudes d(z0, z0 * x_j)
-    step_peaks: tuple  # running max of step magnitudes
-
-
 @dataclass(eq=False)
 class IndependentSequence:
     """A finite sequence of independent steps on one instance.
 
-    Variables are `DiscreteDistribution`s (exact + Monte Carlo engines) or
-    `Sampler`s (Monte Carlo only).  Basepoints default to the identity on
-    monoids and to the first atom of the first variable otherwise.
+    Variables are `DiscreteDistribution`s, finite laws that both engines
+    take.  Basepoints default to the identity on monoids and to the first
+    atom of the first variable otherwise.
     """
 
     instance: MetricSemigroup
@@ -451,18 +425,12 @@ class IndependentSequence:
         if not variables:
             raise ValueError("sequence needs at least one variable")
         for var in variables:
-            if _variable_is_discrete(var):
-                for e, _ in var.atoms:
-                    instance.require_element(e)
-            elif not hasattr(var, "draw"):
-                raise TypeError(f"variable {var!r} is neither discrete nor a sampler")
+            if not isinstance(var, DiscreteDistribution):
+                raise TypeError(f"variable {var!r} is not a DiscreteDistribution")
+            for e, _ in var.atoms:
+                instance.require_element(e)
         if z0 is None or z1 is None:
-            if instance.has_identity:
-                default = instance.identity
-            elif _variable_is_discrete(variables[0]):
-                default = variables[0].atoms[0][0]
-            else:
-                raise ValueError("cannot default basepoints without identity or atoms")
+            default = instance.identity if instance.has_identity else variables[0].atoms[0][0]
             z0 = default if z0 is None else z0
             z1 = default if z1 is None else z1
         instance.require_element(z0)
@@ -474,13 +442,7 @@ class IndependentSequence:
         return len(self.variables)
 
     @property
-    def is_exact(self) -> bool:
-        return all(_variable_is_discrete(v) for v in self.variables)
-
-    @property
     def outcome_count(self) -> int:
-        if not self.is_exact:
-            raise ValueError("sequence has sampler-backed variables")
         return math.prod(len(v.atoms) for v in self.variables)
 
     def with_basepoints(self, z0, z1) -> "IndependentSequence":
@@ -509,8 +471,6 @@ class IndependentSequence:
         """Law of each step's magnitude d(z0, z0 * x): the step peak of that
         step alone, by the push-forward of `exact_functional_law`;
         basepoint-independent."""
-        if not self.is_exact:
-            raise ValueError("magnitude laws need discrete variables")
         step_peak = _statistic(self, STEP_PEAK)
         return tuple(
             _push_forward_law(step_peak, (var,), DEFAULT_ENUMERATION_CAP)
@@ -568,10 +528,10 @@ def _statistic(seq: IndependentSequence, statistic) -> tuple:
         return z0, compose, lambda position: distance(z1, position)
     if statistic == STEP_PEAK:
         # each atom's magnitude, once per sequence; keyed by the atom's
-        # identity, so that 1 and Fraction(1) stay apart and no draw of a
-        # sampler is kept
+        # identity, so that 1 and Fraction(1) stay apart, and only for the
+        # atoms that the sequence keeps alive
         magnitudes = seq.derived(STEP_PEAK, lambda: dict.fromkeys(
-            id(x) for var in seq.variables if _variable_is_discrete(var) for x in var.support
+            id(x) for var in seq.variables for x in var.support
         ))
 
         def step_peak(peak, x):
@@ -584,32 +544,6 @@ def _statistic(seq: IndependentSequence, statistic) -> tuple:
 
         return None, step_peak, lambda peak: peak
     raise ValueError(f"unknown statistic {statistic!r}")
-
-
-def _running(statistic: tuple, outcome: Sequence) -> tuple:
-    """Values of a statistic along one outcome, after each step."""
-    state, step, value = statistic
-    values = []
-    for x in outcome:
-        state = step(state, x)
-        values.append(value(state))
-    return tuple(values)
-
-
-def path_trace(seq: IndependentSequence, outcome: Sequence) -> PathTrace:
-    """All four path statistics for one outcome; validates elements."""
-    if len(outcome) != seq.n:
-        raise ValueError(f"outcome length {len(outcome)} != sequence length {seq.n}")
-    for x in outcome:
-        seq.instance.require_element(x)
-    step_peak = _statistic(seq, STEP_PEAK)
-    _, magnitude_peak, _ = step_peak
-    return PathTrace(
-        _running(_product(seq.instance), outcome),
-        _running(_statistic(seq, WALK_PEAK), outcome),
-        tuple(magnitude_peak(None, x) for x in outcome),
-        _running(step_peak, outcome),
-    )
 
 
 def _exact_weights(variables) -> tuple:
@@ -667,8 +601,6 @@ def exact_functional_law(
 
     `cap` bounds the merged states times the atoms of the next step.
     """
-    if not seq.is_exact:
-        raise ValueError("exact laws need finitely supported variables")
     return _push_forward_law(_statistic(seq, statistic), seq.variables, cap)
 
 
@@ -706,20 +638,20 @@ def monte_carlo_law(
     exact carriers the sampled functional values stay exact (Fraction/int)
     and the empirical measure is represented as counts/trials.
 
-    Trials run in chunks of `chunk_size`.  A chunk's uniforms are drawn
-    `SUB_BLOCK_UNIFORMS` at a time; each sub-block is copied with a row per
-    column and, while it is in cache, reduced to the chunk's atom matrix:
-    one row per column, holding each trial's atom index in one byte (more
-    above 256 atoms).  In a discrete column of k atoms with cumulative
-    probabilities c_1 <= ... <= c_k = 1, a trial with uniform u < 1 takes
-    atom #{i < k : c_i <= u}, which is searchsorted(c, u, side="right").
-    Up to `MAX_THRESHOLD_ATOMS` atoms it is counted level by level: level
-    j compares every column that has a j-th threshold at once; wider
-    columns run the binary search on the sub-block.  A sampler column
-    keeps a float copy of its own uniforms, as it draws from them.  So a
-    chunk of discrete columns holds a byte per uniform, not the 8 of a
-    float block, and the default chunk of 65,536 trials takes the bytes
-    that 8,192 trials take as floats.
+    Every step is a finite distribution, and column i (step i + 1) reads
+    uniform i of its trial.  Trials run in chunks of `chunk_size`.  A
+    chunk's uniforms are drawn `SUB_BLOCK_UNIFORMS` at a time; each
+    sub-block is copied with a row per column and, while it is in cache,
+    reduced to the chunk's atom matrix: one row per column, holding each
+    trial's atom index in one byte (more above 256 atoms).  In a column of
+    k atoms with cumulative probabilities c_1 <= ... <= c_k = 1, a trial
+    with uniform u < 1 takes atom #{i < k : c_i <= u}, which is
+    searchsorted(c, u, side="right").  Up to `MAX_THRESHOLD_ATOMS` atoms it
+    is counted level by level: level j compares every column that has a
+    j-th threshold at once; wider columns run the binary search on the
+    sub-block.  So a chunk holds a byte per uniform, not the 8 of a float
+    block, and the default chunk of 65,536 trials takes the bytes that
+    8,192 trials take as floats.
 
     A column then reads its atoms as one contiguous row.  It steps once
     per distinct (state, atom) pair, found without sorting: the pair codes
@@ -727,48 +659,38 @@ def monte_carlo_law(
     bool array of that size and read back in ascending order, the order
     `np.unique` gives; the pairs are stepped and their states interned in
     that order, and the next state ids gathered through a table of the
-    same size.  A run of consecutive discrete columns whose atoms have the
-    same elements (an epoch; every column of an iid walk) shares one such
+    same size.  A run of consecutive columns whose atoms have the same
+    elements (an epoch; every column of an iid walk) shares one such
     table next[state * k + atom], so each pair is stepped once per epoch.
     The table is allocated at 2 * batch entries, -1 meaning not yet
     stepped, on the epoch's second column; a column then gathers the next
     state ids from it and steps only the pairs it has not seen.  A column
     that starts afresh (the first of a chunk, or one with new elements)
     uses its table once.  An epoch ends at a column with other elements
-    (compared by value and by repr, so 1 and Fraction(1) differ), at a
-    sampler column, and at a column reached with more states x atoms than
-    twice the trials of the chunk.  Such a column sorts its pair codes
-    with `np.unique` instead, so a table never holds more than
-    2 * chunk_size entries.
+    (compared by value and by repr, so 1 and Fraction(1) differ), and at a
+    column reached with more states x atoms than twice the trials of the
+    chunk.  Such a column sorts its pair codes with `np.unique` instead, so
+    a table never holds more than 2 * chunk_size entries.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     start, step, value = _statistic(seq, statistic)
-    # (variable, first uniform, cumulative probabilities, elements, same
-    # elements as the column before); samplers have no cumulative
-    # probabilities and take `width` uniforms.
+    # (cumulative probabilities, elements, same elements as the column before)
     columns = []
     previous = None
-    width = 0
     for var in seq.variables:
-        if _variable_is_discrete(var):
-            cum = np.cumsum([float(p) for _, p in var.atoms])
-            cum[-1] = 1.0
-            elements = [e for e, _ in var.atoms]
-            same = elements == previous and repr(elements) == repr(previous)
-            columns.append((var, width, cum, elements, same))
-            previous = elements
-            width += 1
-        else:
-            columns.append((var, width, None, None, False))
-            previous = None
-            width += var.width
-    discrete = [(col, cum) for _, col, cum, _, _ in columns if cum is not None]
-    counted = [(col, cum) for col, cum in discrete if len(cum) <= MAX_THRESHOLD_ATOMS]
-    wide = [(col, cum) for col, cum in discrete if len(cum) > MAX_THRESHOLD_ATOMS]
-    samplers = [(col, var.width) for var, col, cum, _, _ in columns if cum is None]
+        cum = np.cumsum([float(p) for _, p in var.atoms])
+        cum[-1] = 1.0
+        elements = [e for e, _ in var.atoms]
+        same = elements == previous and repr(elements) == repr(previous)
+        columns.append((cum, elements, same))
+        previous = elements
+    width = len(columns)
+    cums = [cum for cum, _, _ in columns]
+    counted = [(col, cum) for col, cum in enumerate(cums) if len(cum) <= MAX_THRESHOLD_ATOMS]
+    wide = [(col, cum) for col, cum in enumerate(cums) if len(cum) > MAX_THRESHOLD_ATOMS]
     # level j: the columns of at most MAX_THRESHOLD_ATOMS atoms that have a
     # j-th threshold, as a slice when they are adjacent, and those thresholds
     # as a column, one per row of a sub-block
@@ -783,8 +705,8 @@ def monte_carlo_law(
         else:
             cols = np.array(cols)
         levels.append((cols, np.array(thresholds)[:, None]))
-    dtype = np.min_scalar_type(max([len(cum) - 1 for _, cum in discrete], default=0))
-    rows = max(1, SUB_BLOCK_UNIFORMS // max(width, 1))
+    dtype = np.min_scalar_type(max(len(cum) for cum in cums) - 1)
+    rows = max(1, SUB_BLOCK_UNIFORMS // width)
 
     def intern(p):
         """Id of the state reached from pair p = state id * k + atom; a new
@@ -807,30 +729,19 @@ def monte_carlo_law(
     done = 0
     while done < trials:
         batch = min(chunk_size, trials - done)
-        # a sampler's rows of `atoms` stay 0; its uniforms are in `drawn`
         atoms = np.zeros((width, batch), dtype=dtype)
-        drawn = {col: np.empty((batch, w)) for col, w in samplers}
         for r0 in range(0, batch, rows):
             # a row per column, so that every comparison runs along
             # contiguous memory, however few the columns
             u = uniform_block(seed, width, done + r0, min(rows, batch - r0)).T.copy()
-            r1 = r0 + u.shape[1]
-            picked = atoms[:, r0:r1]
+            picked = atoms[:, r0 : r0 + u.shape[1]]
             for cols, thresholds in levels:
                 picked[cols] += u[cols] >= thresholds
             for col, cum in wide:
                 picked[col] = np.searchsorted(cum, u[col], side="right")
-            for col, w in samplers:
-                drawn[col][r0:r1] = u[col : col + w].T
         states = [start]
         ids = np.zeros(batch, dtype=np.intp)
-        for var, col, cum, elements, same in columns:
-            if cum is None:
-                states = [
-                    step(states[i], var.draw(x)) for x, i in zip(drawn[col], ids.tolist())
-                ]
-                ids = np.arange(batch)
-                continue
+        for col, (cum, elements, same) in enumerate(columns):
             k = len(elements)
             codes = ids * k
             codes += atoms[col]
@@ -921,33 +832,28 @@ def _prob_from_json(j):
 
 def sequence_to_config(seq: IndependentSequence) -> dict:
     """Serializable description: instance spec, atoms with exact probabilities,
-    and basepoints.  Sampler-backed variables cannot be serialized."""
+    and basepoints."""
     inst = seq.instance
-    variables = []
-    for var in seq.variables:
-        if not _variable_is_discrete(var):
-            raise ValueError("cannot serialize sampler-backed variables")
-        variables.append(
-            {
-                "atoms": [
-                    [inst.element_to_json(e), _prob_to_json(p)] for e, p in var.atoms
-                ]
-            }
-        )
     return {
         "instance": inst.spec,
-        "variables": variables,
+        "variables": [
+            {"atoms": [[inst.element_to_json(e), _prob_to_json(p)] for e, p in var.atoms]}
+            for var in seq.variables
+        ],
         "z0": inst.element_to_json(seq.z0),
         "z1": inst.element_to_json(seq.z1),
     }
 
 
 def sequence_from_config(config: dict) -> IndependentSequence:
-    """Inverse of `sequence_to_config`; rejects unknown keys.
+    """Inverse of `sequence_to_config`; rejects unknown keys, and a config
+    of the wrong shape with a ValueError that names the field.
 
     Engine preferences (engine/trials/seed) may ride along in the same file;
     they do not affect the sequence itself.
     """
+    if not isinstance(config, dict):
+        raise ValueError(f"sequence config must be an object, not {config!r}")
     allowed = {"instance", "variables", "z0", "z1", "label", "engine", "trials", "seed"}
     unknown = set(config) - allowed
     if unknown:
@@ -956,15 +862,27 @@ def sequence_from_config(config: dict) -> IndependentSequence:
         raise ValueError("sequence config needs 'instance' and 'variables'")
     if config.get("engine") not in (None, "exact", "mc"):
         raise ValueError(f"unknown engine {config['engine']!r}")
+    if not isinstance(config["instance"], str):
+        raise ValueError(f"'instance' must be a string, not {config['instance']!r}")
+    if not isinstance(config["variables"], list):
+        raise ValueError(f"'variables' must be a list of objects, not {config['variables']!r}")
     inst = parse_instance(config["instance"])
     variables = []
-    for entry in config["variables"]:
+    for index, entry in enumerate(config["variables"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"variable {index} must be an object, not {entry!r}")
         extra = set(entry) - {"atoms"}
         if extra:
             raise ValueError(f"unknown variable config keys: {sorted(extra)}")
-        atoms = [
-            (inst.element_from_json(e), _prob_from_json(p)) for e, p in entry["atoms"]
-        ]
+        pairs = entry.get("atoms")
+        if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in pairs
+        ):
+            raise ValueError(
+                f"'atoms' of variable {index} must be a list of [element, probability] "
+                f"pairs, not {pairs!r}"
+            )
+        atoms = [(inst.element_from_json(e), _prob_from_json(p)) for e, p in pairs]
         variables.append(DiscreteDistribution.of(atoms))
     z0 = inst.element_from_json(config["z0"]) if "z0" in config else None
     z1 = inst.element_from_json(config["z1"]) if "z1" in config else None

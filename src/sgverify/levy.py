@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .laws import Sampler
 from .rng import derive_seed, uniform_block
 from .semigroups import (
     InstanceSpecError,
@@ -31,8 +30,9 @@ PATH_THRESHOLD = 0.05   # converging: fraction of paths above the finest eps
 DIVERGENCE_FLOOR = 0.5  # diverging: fraction above the coarsest eps, all windows
 
 
-class UniformBoxSampler(Sampler):
-    """Uniform draw from a centered box of the given half-width per axis."""
+class UniformBoxSampler:
+    """Uniform draw from a centered box of the given half-width per axis;
+    `draw` maps `width` uniforms to an element."""
 
     def __init__(self, instance: MetricSemigroup, halfwidth: float):
         if not isinstance(instance, (TorusGroup, RealVectorGroup)):
@@ -50,7 +50,7 @@ class UniformBoxSampler(Sampler):
         return tuple(coords)
 
 
-class PointSampler(Sampler):
+class PointSampler:
     """Deterministic step; consumes no randomness."""
 
     width = 0

@@ -40,52 +40,8 @@ def rearrangement_at(law: ScalarLaw, t):
     return law.values[bisect_left(tails, True, 1, key=lambda tail: tail <= level) - 1]
 
 
-@dataclass(frozen=True)
-class Rearrangement:
-    """Callable view of a law's decreasing rearrangement."""
-
-    law: ScalarLaw
-
-    def __call__(self, t):
-        return rearrangement_at(self.law, t)
-
-
-def rearrangement_grid_law(law: ScalarLaw, cells: int) -> ScalarLaw:
-    """Law of the rearrangement sampled at the midpoints of `cells` uniform
-    cells of [0, 1], each carrying mass 1/cells.
-
-    Converges to the original law as the grid refines, and every sampled
-    value is an exact step position of the original law.
-    """
-    if cells < 1:
-        raise ValueError("need at least one grid cell")
-    pairs = []
-    weight = Fraction(1, cells)
-    for i in range(cells):
-        t = Fraction(2 * i + 1, 2 * cells)
-        pairs.append((rearrangement_at(law, t), weight))
-    return ScalarLaw.from_pairs(pairs)
-
-
-def tail_sup_distance(a: ScalarLaw, b: ScalarLaw) -> float:
-    """sup_x |P(A > x) - P(B > x)| over the merged step grid."""
-    grid = sorted(set(a.values) | set(b.values))
-    gap = abs(float(a.tail(-1) - b.tail(-1))) if grid else 0.0
-    best = gap
-    for x in grid:
-        best = max(best, abs(float(a.tail(x)) - float(b.tail(x))))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # aggregate step quantile (inverse of the summed magnitude tails)
-
-
-def tail_sum(laws: Sequence[ScalarLaw], x):
-    """Sum of the step-magnitude tails at x (may exceed 1)."""
-    if not laws:
-        raise ValueError("empty family of magnitude laws")
-    return sum(law.tail(x) for law in laws)
 
 
 class AggregateTail(tuple):
@@ -96,8 +52,9 @@ class AggregateTail(tuple):
     call; given an `AggregateTail` they use its table, so a sequence builds
     it once (`aggregate_tail`) and every checker shares it.  When every law
     is exact, S is summed in ints over the lcm D of their denominators;
-    otherwise each S(v) is summed from the laws' tails in their order, as
-    `tail_sum` does, so float tails come out bit for bit the same (D = 1).
+    otherwise each S(v) is summed from the laws' tails in their order, so
+    float tails come out bit for bit as sum(law.tail(v) for law in laws),
+    with D = 1.
     """
 
     def __init__(self, laws: Iterable[ScalarLaw]):

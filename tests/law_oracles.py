@@ -10,28 +10,36 @@ backward pass over suffix products replaced.  `fraction_rearrangement_at`,
 are the quantile layer and the moments on Fraction probabilities and tail
 sums, compared with the argument as it is, which the integer weights and
 tails replaced.
+
+`path_trace` gives the four path statistics along one outcome, from the same
+transitions as the engines; `tail_sum`, `rearrangement_grid_law` and
+`tail_sup_distance` are the summed magnitude tails at one point, a grid
+sampling of a decreasing rearrangement and the sup distance between two
+tail functions.
 """
 
 import itertools
 import math
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from sgverify import EnumerationCapError, ScalarLaw, tail_sum
+from sgverify import EnumerationCapError, ScalarLaw, rearrangement_at
 from sgverify.laws import (
     DEFAULT_ENUMERATION_CAP,
+    STEP_PEAK,
+    WALK_PEAK,
     _advance,
     _exact_weights,
     _product,
+    _statistic,
     is_rational,
 )
 
 
 def enumerate_outcomes(seq, cap=DEFAULT_ENUMERATION_CAP):
     """Yield (outcome, probability) over the joint support."""
-    if not seq.is_exact:
-        raise ValueError("exact enumeration needs finitely supported variables")
     count = seq.outcome_count
     if count > cap:
         raise EnumerationCapError(f"{count} joint outcomes exceed the cap {cap}")
@@ -160,3 +168,70 @@ def fraction_moment(law, p):
         return sum(float(prob) * float(v) ** float(p) for v, prob in pairs)
     except OverflowError:
         return math.inf
+
+
+@dataclass(frozen=True)
+class PathTrace:
+    """Per-index path statistics for one outcome."""
+
+    products: tuple
+    peaks: tuple  # running max of d(z1, z0 * s_j)
+    steps: tuple  # step magnitudes d(z0, z0 * x_j)
+    step_peaks: tuple  # running max of step magnitudes
+
+
+def _running(statistic, outcome):
+    """Values of a (start, step, value) statistic along one outcome, after
+    each step."""
+    state, step, value = statistic
+    values = []
+    for x in outcome:
+        state = step(state, x)
+        values.append(value(state))
+    return tuple(values)
+
+
+def path_trace(seq, outcome):
+    """All four path statistics for one outcome; validates elements."""
+    if len(outcome) != seq.n:
+        raise ValueError(f"outcome length {len(outcome)} != sequence length {seq.n}")
+    for x in outcome:
+        seq.instance.require_element(x)
+    step_peak = _statistic(seq, STEP_PEAK)
+    _, magnitude_peak, _ = step_peak
+    return PathTrace(
+        _running(_product(seq.instance), outcome),
+        _running(_statistic(seq, WALK_PEAK), outcome),
+        tuple(magnitude_peak(None, x) for x in outcome),
+        _running(step_peak, outcome),
+    )
+
+
+def tail_sum(laws, x):
+    """Sum of the step-magnitude tails at x (may exceed 1)."""
+    if not laws:
+        raise ValueError("empty family of magnitude laws")
+    return sum(law.tail(x) for law in laws)
+
+
+def rearrangement_grid_law(law, cells):
+    """Law of the rearrangement sampled at the midpoints of `cells` uniform
+    cells of [0, 1], each carrying mass 1/cells.
+
+    Converges to the original law as the grid refines, and every sampled
+    value is an exact step position of the original law.
+    """
+    if cells < 1:
+        raise ValueError("need at least one grid cell")
+    weight = Fraction(1, cells)
+    return ScalarLaw.from_pairs(
+        (rearrangement_at(law, Fraction(2 * i + 1, 2 * cells)), weight) for i in range(cells)
+    )
+
+
+def tail_sup_distance(a, b):
+    """sup_x |P(A > x) - P(B > x)| over the merged step grid."""
+    best = abs(float(a.tail(-1) - b.tail(-1)))
+    for x in sorted(set(a.values) | set(b.values)):
+        best = max(best, abs(float(a.tail(x)) - float(b.tail(x))))
+    return best

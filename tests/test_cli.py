@@ -719,3 +719,47 @@ def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         run(["not-a-command"])
     assert err.value.code == 2
+
+
+CHECK_CONFIG = {"ineq": "all", "grid": "default", "engine": "exact", "trials": None,
+                "seed": None, "flags": {}}
+PAIR = [[1, "1"]]
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("check", [5], "sequence config must be an object, not [5]"),
+        ("check", {"instance": "int", "variables": 5},
+         "'variables' must be a list of objects, not 5"),
+        ("check", {"instance": "int", "variables": [5]}, "variable 0 must be an object, not 5"),
+        ("check", {"instance": "int", "variables": [{"atoms": 5}]},
+         "'atoms' of variable 0 must be a list of [element, probability] pairs, not 5"),
+        ("check", {"instance": "int", "variables": [{"atoms": [[1]]}]},
+         "'atoms' of variable 0 must be a list of [element, probability] pairs, not [[1]]"),
+        ("check", {"instance": 5, "variables": [{"atoms": PAIR}]},
+         "'instance' must be a string, not 5"),
+        ("replay", [1], "replay input must be an output object, not [1]"),
+        ("replay", {"command": "check", "config": 5}, "replay 'config' must be an object, not 5"),
+        ("replay", {"command": "check", "config": CHECK_CONFIG}, "replay config lacks 'sequence'"),
+        ("replay", {"command": "check",
+                    "config": CHECK_CONFIG | {"sequence": {"instance": "int", "variables": 5}}},
+         "'variables' must be a list of objects, not 5"),
+        ("sweep", {"config": {"count": 1}, "sequences": 5},
+         "must be an object with a 'config' object and a 'sequences' list"),
+        ("sweep", {"config": {"count": 1}, "sequences": [5]},
+         "sequence config must be an object, not 5"),
+    ],
+)
+def test_malformed_config_shapes_are_usage_errors(tmp_path, capsys, command, content, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    argv = {
+        "check": ["check", str(path), "--ineq", "all"],
+        "replay": ["replay", str(path)],
+        "sweep": ["sweep", "--corpus", str(path)],
+    }[command]
+    assert run([*argv, "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert not (tmp_path / "out.json").exists()

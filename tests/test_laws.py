@@ -18,14 +18,13 @@ from sgverify import (
     exact_functional_law,
     mc_tail_agreement,
     monte_carlo_law,
-    path_trace,
     sequence_from_config,
     sequence_to_config,
 )
 from sgverify.corpus import CorpusSpec, generate_corpus
 from sgverify.levy import UniformBoxSampler
 
-from law_oracles import enumerate_outcomes, product_step_peak_law
+from law_oracles import enumerate_outcomes, path_trace, product_step_peak_law
 
 F = Fraction
 
@@ -187,11 +186,10 @@ def test_state_cap_is_checked_before_expanding_a_layer():
     )
 
 
-def test_exact_law_rejects_samplers():
+def test_build_rejects_samplers():
     sampler = UniformBoxSampler(TorusGroup(1), 0.5)
-    seq = IndependentSequence.build(TorusGroup(1), [sampler])
-    with pytest.raises(ValueError):
-        exact_functional_law(seq, "walk_peak")
+    with pytest.raises(TypeError, match="is not a DiscreteDistribution"):
+        IndependentSequence.build(TorusGroup(1), [sampler])
 
 
 def test_monte_carlo_matches_exact_within_3se():
@@ -219,8 +217,8 @@ def test_point_mass_monte_carlo_is_exact():
 
 def test_torus_walk_respects_diameter():
     tor = TorusGroup(1)
-    steps = [UniformBoxSampler(tor, 0.5)] * 10
-    seq = IndependentSequence.build(tor, steps)
+    step = DiscreteDistribution.uniform([((i + 0.5) / 16,) for i in range(16)])
+    seq = IndependentSequence.build(tor, [step] * 10)
     law = monte_carlo_law(seq, "walk_peak", trials=2000, seed=8)
     assert law.max_value <= 0.5
 

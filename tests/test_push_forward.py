@@ -32,7 +32,6 @@ from sgverify import (
     IndependentSequence,
     IntegerAdditive,
     PositiveRationalsAdditive,
-    Sampler,
     ScalarLaw,
     TorusGroup,
     check_mogulskii,
@@ -45,7 +44,6 @@ from sgverify import inequalities, laws
 from sgverify.corpus import CorpusSpec, generate_corpus, generate_sequence
 from sgverify.inequalities import _mogulskii_probabilities
 from sgverify.laws import DEFAULT_ENUMERATION_CAP, MAX_THRESHOLD_ATOMS, _statistic
-from sgverify.levy import PointSampler, UniformBoxSampler
 from sgverify.rng import derive_seed, uniform_block
 
 from law_oracles import (
@@ -290,10 +288,10 @@ def test_exact_law_beyond_the_outcome_cap_agrees_with_monte_carlo():
 def golden_sequences():
     corpus = generate_corpus(CorpusSpec(count=10, seed=6))
     torus = TorusGroup(1)
-    torus2 = TorusGroup(2, "sup")
-    mixed = [
+    # torus:2 columns of 2 and 4 atoms, the 4-atom one in runs of two
+    torus2 = [
         DiscreteDistribution.of([((0.25, 0.5), F(1, 3)), ((0.75, 0.0), F(2, 3))]),
-        UniformBoxSampler(torus2, 0.1),
+        DiscreteDistribution.uniform([(0.1, 0.9), (0.95, 0.05), (0.0, 0.1), (0.9, 0.0)]),
         DiscreteDistribution.of([((0.5, 0.5), F(1, 2)), ((0.0, 0.125), F(1, 2))]),
     ]
     posreal = {
@@ -321,10 +319,9 @@ def golden_sequences():
         "corpus6-4": corpus[4],
         "corpus6-9": corpus[9],
         "posreal": sequence_from_config(posreal),
-        "torus-sampler": IndependentSequence.build(
-            torus, [UniformBoxSampler(torus, 0.5)] * 10
+        "torus2": IndependentSequence.build(
+            TorusGroup(2), [torus2[i] for i in (0, 1, 1, 2)] * 3
         ),
-        "torus2-mixed": IndependentSequence.build(torus2, mixed),
         "pm1-200": pm1_walk(200),
         "pm1-60-skew": pm1_walk(60, F(3, 10)),
         "int-alternating": IndependentSequence.build(
@@ -342,18 +339,17 @@ def golden_sequences():
 
 
 # (sequence, statistic, seed, trials, chunk size, digest of the law).  The
-# rows up to pm1-200 were recorded with the per-trial loop, the rest with the
-# per-column push-forward that predates the shared transition table.
+# rows up to pm1-200 were recorded with the per-trial loop, the torus2 rows
+# with the atom-matrix engine, and the rest with the per-column push-forward
+# that predates the shared transition table.
 GOLDEN_MC = (
     ("corpus6-3", "walk_peak", 11, 3000, 777, "9003843eef46f917"),
     ("corpus6-4", "end_distance", 11, 3000, 8192, "a11b72dfeb43c4a3"),
     ("corpus6-9", "step_peak", 11, 3000, 777, "f62d278c4755c512"),
     ("posreal", "walk_peak", 11, 3000, 777, "809b2fd2c80ad0f2"),
     ("posreal", "step_peak", 11, 3000, 8192, "478899bd6ef31f9a"),
-    ("torus-sampler", "walk_peak", 11, 3000, 777, "338c63c3c73b9003"),
-    ("torus-sampler", "step_peak", 11, 3000, 8192, "489c6204ca8c6297"),
-    ("torus2-mixed", "end_distance", 11, 3000, 777, "8ded451c86df4296"),
-    ("torus2-mixed", "walk_peak", 11, 3000, 8192, "dd101546b04b7671"),
+    ("torus2", "end_distance", 11, 3000, 777, "e6f776bffcc5864f"),
+    ("torus2", "walk_peak", 11, 3000, 8192, "2b9d7d6998063eb5"),
     ("pm1-200", "walk_peak", 11, 3000, 777, "ef2e2a05d26618a9"),
     ("pm1-200", "walk_peak", 12, 10_000, 8192, "1717a3ada9f249ff"),
     ("pm1-60-skew", "end_distance", 13, 3000, 777, "87ef4d2d63d00f2a"),
@@ -543,44 +539,28 @@ def reference_monte_carlo_law(seq, statistic, trials, seed, chunk_size=8192, siz
     """The column loop the engine replaced: each trial's atom by a binary
     search of the cumulative probabilities, distinct pairs by sorting, and
     the transition table grown by concatenation and the state list rebuilt
-    at every column.  With a list `sizes`, each discrete column appends
+    at every column.  With a list `sizes`, each column appends
     (continues an epoch, states x atoms, trials in the chunk) to it."""
     start, step, value = _statistic(seq, statistic)
     columns = []
     previous = None
     for var in seq.variables:
-        if isinstance(var, DiscreteDistribution):
-            cum = np.cumsum([float(p) for _, p in var.atoms])
-            cum[-1] = 1.0
-            elements = [e for e, _ in var.atoms]
-            same = elements == previous and repr(elements) == repr(previous)
-            columns.append((var, cum, elements, same))
-            previous = elements
-        else:
-            columns.append((var, None, None, False))
-            previous = None
-    width = sum(var.width if cum is None else 1 for var, cum, _, _ in columns)
+        cum = np.cumsum([float(p) for _, p in var.atoms])
+        cum[-1] = 1.0
+        elements = [e for e, _ in var.atoms]
+        same = elements == previous and repr(elements) == repr(previous)
+        columns.append((cum, elements, same))
+        previous = elements
     counts = {}
     done = 0
     while done < trials:
         batch = min(chunk_size, trials - done)
-        u = uniform_block(seed, width, done, batch)
+        u = uniform_block(seed, len(columns), done, batch)
         states = [start]
         ids = np.zeros(batch, dtype=np.intp)
-        col = 0
-        for var, cum, elements, same in columns:
-            if cum is None:
-                w = var.width
-                states = [
-                    step(states[i], var.draw(u[row, col : col + w]))
-                    for row, i in enumerate(ids.tolist())
-                ]
-                ids = np.arange(batch)
-                col += w
-                continue
+        for col, (cum, elements, same) in enumerate(columns):
             k = len(elements)
             codes = ids * k + np.searchsorted(cum, u[:, col], side="right")
-            col += 1
             if sizes is not None:
                 sizes.append((same, len(states) * k, batch))
             if same and len(states) * k <= 2 * batch:
@@ -663,16 +643,18 @@ def adversarial_sequences():
         ),
         "tiny-last": IndependentSequence.build(line, [float_column(rng, 5, 1e-17)] * 10),
         "cumsum-early": IndependentSequence.build(line, [early[0]] * 4 + [early[1]] * 4),
-        "samplers": IndependentSequence.build(
+        # float states on the torus; point masses and wide columns break
+        # the runs of equal elements
+        "torus-interleaved": IndependentSequence.build(
             torus,
             [
-                UniformBoxSampler(torus, 0.5),
-                PointSampler((0.25,)),
+                DiscreteDistribution.uniform([(i / 12,) for i in range(12)]),
+                DiscreteDistribution.point_mass((0.25,)),
                 DiscreteDistribution.uniform([(0.0,), (0.5,)]),
                 DiscreteDistribution.uniform([(0.0,), (0.5,)]),
-                PointSampler((0.125,)),
+                DiscreteDistribution.point_mass((0.125,)),
                 DiscreteDistribution.of([((0.0,), 0.3), ((0.75,), 0.7)]),
-                UniformBoxSampler(torus, 0.25),
+                DiscreteDistribution.uniform([((i - 4) / 16 % 1.0,) for i in range(9)]),
                 DiscreteDistribution.of([((0.0,), 0.3), ((0.75,), 0.7)]),
             ],
         ),
@@ -710,18 +692,14 @@ def test_monte_carlo_steps_each_transition_once_per_epoch():
     assert inst.compose_calls < 10_000
 
 
-class SignSampler(Sampler):
-    """+1 or -1 from one uniform."""
-
-    def draw(self, u):
-        return 1 if u[0] < 0.5 else -1
-
-
 @pytest.mark.parametrize("chunk_size", [1, 7, 8192])
 def test_monte_carlo_steps_as_often_as_the_reference(chunk_size):
     pm1 = DiscreteDistribution.of([(1, F(1, 2)), (-1, F(1, 2))])
+    # the same atoms in the other order are other elements, and end a run
+    sign = DiscreteDistribution.of([(-1, F(1, 2)), (1, F(1, 2))])
     skew = DiscreteDistribution.of([(2, 0.25), (-1, 0.75)])
-    mixed = [pm1, pm1, SignSampler(), pm1, PointSampler(1), skew, skew, pm1] * 5
+    one = DiscreteDistribution.point_mass(1)
+    mixed = [pm1, pm1, sign, pm1, one, skew, skew, pm1] * 5
     trials = 50 if chunk_size == 1 else 3000
     for columns in ([pm1] * 200, mixed):
         calls = []
@@ -756,17 +734,9 @@ def test_monte_carlo_pair_tables_at_their_size_limit():
     assert {(True, 0), (True, 1), (False, 0), (False, 1)} <= reached
 
 
-class TwoUniformSampler(Sampler):
-    """+1 or -1 from which of two uniforms is larger."""
-
-    width = 2
-
-    def draw(self, u):
-        return 1 if u[0] < u[1] else -1
-
-
 def atom_matrix_columns():
     pm1 = DiscreteDistribution.of([(1, F(1, 2)), (-1, F(1, 2))])
+    sign = DiscreteDistribution.of([(-1, F(1, 2)), (1, F(1, 2))])
     one = DiscreteDistribution.point_mass(3)
     eight = ints(MAX_THRESHOLD_ATOMS)
     return {
@@ -774,9 +744,10 @@ def atom_matrix_columns():
         # atom indices up to 255 fit one byte; 300 atoms need two
         "256-atoms": [ints(256), pm1, ints(256), ints(3)],
         "300-atoms": [ints(300), pm1, ints(256), ints(3)],
-        "samplers": [
-            pm1, SignSampler(), eight, TwoUniformSampler(), eight, one,
-            PointSampler(1), ints(MAX_THRESHOLD_ATOMS + 1), pm1, SignSampler(),
+        # runs of one column between columns of 1 to 9 atoms
+        "interleaved": [
+            pm1, sign, eight, sign, eight, one,
+            DiscreteDistribution.point_mass(1), ints(MAX_THRESHOLD_ATOMS + 1), pm1, sign,
         ],
     }
 
@@ -812,7 +783,7 @@ def test_monte_carlo_atom_matrix_across_sub_blocks(monkeypatch, name):
 def test_monte_carlo_default_chunk_matches_reference(trials):
     # 10,000 trials are one chunk, 70,000 two (65,536 and 4,464)
     pm1 = DiscreteDistribution.of([(1, F(1, 2)), (-1, F(1, 2))])
-    walk = atom_matrix_columns()["samplers"] + [pm1] * 30
+    walk = atom_matrix_columns()["interleaved"] + [pm1] * 30
     assert_steps_like_reference(walk, "walk_peak", trials, 31)
 
 
@@ -861,7 +832,7 @@ def test_monte_carlo_law_does_not_depend_on_chunk_size(spec, seed, trials, stati
     rng = random.Random(seed)
     torus = TorusGroup(1)
     columns = (
-        UniformBoxSampler(torus, 0.5),
+        DiscreteDistribution.uniform([torus.random_element(rng) for _ in range(12)]),
         DiscreteDistribution.uniform([torus.random_element(rng) for _ in range(2)]),
         DiscreteDistribution.uniform([torus.random_element(rng) for _ in range(3)]),
     )

@@ -28,7 +28,6 @@ from sgverify import (
     ScalarLaw,
     excess_tail_moment,
     rearrangement_at,
-    tail_sum,
     tail_sum_inverse,
     tail_sum_inverse_law,
 )
@@ -42,6 +41,7 @@ from law_oracles import (
     fraction_moment,
     fraction_rearrangement_at,
     fraction_tail_sum_inverse,
+    tail_sum,
 )
 
 F = Fraction
