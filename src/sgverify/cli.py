@@ -55,7 +55,7 @@ from .inequalities import (
 from .laws import EnumerationCapError, sequence_from_config, sequence_to_config
 from .levy import WalkConfig, equivalence_experiment, simulate_walk, traces_to_csv
 from .reports import InequalityReport, RatioReport, canonical_json, reports_to_csv, to_jsonable
-from .semigroups import InstanceSpecError, parse_instance
+from .semigroups import InstanceSpecError, is_integer, parse_instance
 
 
 def _rational(text) -> Fraction:
@@ -368,20 +368,43 @@ def check_config(args) -> dict:
     }
 
 
+def _parse_flags(given) -> dict:
+    """Each flag of a check config parsed by its `CHECK_FLAGS` type; an int
+    flag must be a JSON integer, and a bad value is named with its flag."""
+    if not isinstance(given, dict):
+        raise ValueError(f"check 'flags' must be an object, not {given!r}")
+    flags = {}
+    for key, value in given.items():
+        if key not in CHECK_FLAGS:
+            raise ValueError(f"unknown check flag {key!r}")
+        kind = CHECK_FLAGS[key][0]
+        try:
+            if isinstance(value, bool) or kind is int and not is_integer(value):
+                raise TypeError(f"{value!r} is not {'an integer' if kind is int else 'a number'}")
+            flags[key] = kind(value)
+        except (TypeError, ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"check flag {key}={value!r}: {exc}") from exc
+    return flags
+
+
 def run_check(config: dict, args):
     name = config["ineq"]
-    if name not in CHECKERS:
+    if not isinstance(name, str) or name not in CHECKERS:
         raise ValueError(f"unknown inequality {name!r}")
     required, takes_mc, call = CHECKERS[name]
     seq = getattr(args, "check_sequence", None)
     if seq is None:
         seq = sequence_from_config(config["sequence"])
-    flags = {key: CHECK_FLAGS[key][0](value) for key, value in config["flags"].items()}
+    flags = _parse_flags(config["flags"])
     if any(key not in flags for key in required):
         raise ValueError(f"{name} needs " + " and ".join(f"--{key}" for key in required))
     if config["engine"] == "exact":
         reports = call(seq, flags)
     elif takes_mc:
+        if not (is_integer(config["trials"]) and is_integer(config["seed"])):
+            raise ValueError(
+                f"trials and seed must be integers, not {config['trials']!r}, {config['seed']!r}"
+            )
         reports = call(
             seq, flags, engine=config["engine"], trials=config["trials"], seed=config["seed"]
         )

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .inequalities import HJParameters
 from .laws import DiscreteDistribution, IndependentSequence, ScalarLaw, is_rational
+from .reports import check_field_types
 from .rng import derive_seed
 from .semigroups import MetricSemigroup, parse_instance
 
@@ -30,6 +31,7 @@ class CorpusSpec:
     seed: int = 1
 
     def __post_init__(self):
+        check_field_types(self)
         if self.count < 1:
             raise ValueError("corpus count must be >= 1")
         if self.max_len < 1 or self.max_support < 1:
@@ -48,12 +50,14 @@ class CorpusSpec:
 
     @staticmethod
     def from_config(config: dict) -> "CorpusSpec":
+        if not isinstance(config, dict):
+            raise ValueError(f"corpus config must be an object, not {config!r}")
         allowed = {"count", "max_len", "max_support", "instances", "seed"}
         unknown = set(config) - allowed
         if unknown:
             raise ValueError(f"unknown corpus config keys: {sorted(unknown)}")
         cfg = dict(config)
-        if "instances" in cfg:
+        if isinstance(cfg.get("instances"), list):
             cfg["instances"] = tuple(cfg["instances"])
         return CorpusSpec(**cfg)
 

@@ -10,19 +10,20 @@ proxy (threshold fractions below), labeled as such in reports.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .reports import check_field_types
 from .rng import derive_seed, uniform_block
 from .semigroups import (
     InstanceSpecError,
     MetricSemigroup,
     RealVectorGroup,
     TorusGroup,
+    is_finite_number,
+    is_integer,
     parse_instance,
 )
 
@@ -35,7 +36,7 @@ class UniformBoxSampler:
     `draw` maps `width` uniforms to an element."""
 
     def __init__(self, instance: MetricSemigroup, halfwidth: float):
-        if not isinstance(instance, (TorusGroup, RealVectorGroup)):
+        if not isinstance(instance, RealVectorGroup):
             raise InstanceSpecError(
                 f"box samplers need a torus or vector instance, not {instance.name}"
             )
@@ -44,10 +45,7 @@ class UniformBoxSampler:
         self.width = instance.dim
 
     def draw(self, u: Sequence[float]):
-        coords = ((2.0 * v - 1.0) * self.halfwidth for v in u)
-        if isinstance(self.instance, TorusGroup):
-            return tuple(c % 1.0 for c in coords)
-        return tuple(coords)
+        return self.instance.wrap(tuple((2.0 * v - 1.0) * self.halfwidth for v in u))
 
 
 class PointSampler:
@@ -110,13 +108,15 @@ class WalkConfig:
     windows: tuple = (10, 25, 50, 100)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.horizon < 2 or self.paths < 1:
             raise ValueError("need horizon >= 2 and paths >= 1")
         eps = self.eps_grid
-        finite = all(isinstance(e, numbers.Real) and 0 < e < math.inf for e in eps)
+        finite = all(is_finite_number(e) and e > 0 for e in eps)
         if not eps or not finite or list(eps) != sorted(eps, reverse=True):
             raise ValueError("eps grid must be finite, positive and decreasing")
-        if not self.windows or max(self.windows) >= self.horizon or min(self.windows) < 1:
+        windows = self.windows
+        if not windows or not all(is_integer(w) and 0 < w < self.horizon for w in windows):
             raise ValueError("window starts must lie in 1..horizon-1")
 
     def to_jsonable(self) -> dict:
@@ -138,7 +138,7 @@ class WalkConfig:
             raise ValueError(f"unknown walk config keys: {sorted(unknown)}")
         cfg = dict(config)
         for key in ("eps_grid", "windows"):
-            if key in cfg:
+            if isinstance(cfg.get(key), list):
                 cfg[key] = tuple(cfg[key])
         return WalkConfig(**cfg)
 
@@ -187,7 +187,7 @@ def simulate_walk(config: WalkConfig) -> WalkResult:
 def _pairwise_row_max(instance: MetricSemigroup, positions: list) -> list:
     """row_max[m] = max over n > m of d(s_m, s_n), 0-based indices."""
     horizon = len(positions)
-    if isinstance(instance, (TorusGroup, RealVectorGroup)):
+    if isinstance(instance, RealVectorGroup):
         arr = np.asarray(positions, dtype=float)
         out = []
         for m in range(horizon - 1):

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .laws import is_rational
@@ -282,6 +282,22 @@ def to_jsonable(x):
     if hasattr(x, "to_jsonable"):
         return x.to_jsonable()
     return repr(x)
+
+
+_FIELD_TYPES = {"int": (int, "an integer"), "str": (str, "a string"), "tuple": (tuple, "a list")}
+
+
+def check_field_types(config) -> None:
+    """Raise a ValueError that names the first field of the dataclass
+    `config` declared int, str or tuple whose value has another type, as a
+    hand-edited JSON config can give (a bool is not an int).  The
+    annotations are strings under `from __future__ import annotations`."""
+    for f in fields(config):
+        if f.type in _FIELD_TYPES:
+            kind, name = _FIELD_TYPES[f.type]
+            value = getattr(config, f.name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"{f.name!r} must be {name}, not {value!r}")
 
 
 def compact_json(obj) -> str:

@@ -6,6 +6,12 @@ use integer or rational arithmetic throughout so that downstream certification
 can run at zero tolerance; the real-valued instances (vectors, tori) carry
 floats and are checked against a small absolute tolerance instead.
 
+Three carrier families are each one class hierarchy, whose subclasses
+override only what differs: the integers (`int`, `broken:subint`), the
+positive rationals (`posreal`, `broken:mulreal`) and the real vectors
+(`real`, `torus`).  Elements are read from JSON by one strict reader per
+element kind, which raises `CarrierMismatchError` on any other JSON value.
+
 Instances are immutable after construction and safe to share across threads;
 every operation is a pure function of its arguments.
 """
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from typing import Any, Iterator, Sequence
 
@@ -107,6 +114,37 @@ class MetricSemigroup:
         return f"<{type(self).__name__} {self.name}>"
 
 
+def is_integer(x) -> bool:
+    """An int that is not a bool: what a JSON integer reads as."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _read_integer(j) -> int:
+    if not is_integer(j):
+        raise CarrierMismatchError(f"expected a JSON integer, got {j!r}")
+    return j
+
+
+def _read_integers(j) -> tuple:
+    if not isinstance(j, list):
+        raise CarrierMismatchError(f"expected a list of integers, got {j!r}")
+    return tuple(map(_read_integer, j))
+
+
+def _read_rational(j) -> Fraction:
+    if is_integer(j) or isinstance(j, str):
+        try:
+            return Fraction(j)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise CarrierMismatchError(f"expected an integer or a 'p/q' string, got {j!r}")
+
+
+def is_finite_number(v) -> bool:
+    """A finite int or float that is not a bool and fits in a float."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 class CyclicGroup(MetricSemigroup):
     """Residues mod m under addition, with the circular distance."""
 
@@ -138,7 +176,7 @@ class CyclicGroup(MetricSemigroup):
         return (-a) % self.modulus
 
     def contains(self, x):
-        return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self.modulus
+        return is_integer(x) and 0 <= x < self.modulus
 
     def elements(self):
         return iter(range(self.modulus))
@@ -153,7 +191,7 @@ class CyclicGroup(MetricSemigroup):
         return x
 
     def element_from_json(self, j):
-        return self.require_element(int(j))
+        return self.require_element(_read_integer(j))
 
 
 class SymmetricGroup(MetricSemigroup):
@@ -214,7 +252,7 @@ class SymmetricGroup(MetricSemigroup):
         return list(x)
 
     def element_from_json(self, j):
-        return self.require_element(tuple(int(v) for v in j))
+        return self.require_element(_read_integers(j))
 
 
 class GraphGroup(MetricSemigroup):
@@ -272,22 +310,20 @@ class GraphGroup(MetricSemigroup):
         return sorted([list(e) for e in x])
 
     def element_from_json(self, j):
-        edges = frozenset(tuple(sorted((int(u), int(v)))) for u, v in j)
-        return self.require_element(edges)
+        if not isinstance(j, list):
+            raise CarrierMismatchError(f"expected a list of [u, v] edges, got {j!r}")
+        # an edge of other than two vertices is not in `edges`
+        return self.require_element(frozenset(tuple(sorted(_read_integers(e))) for e in j))
 
 
 class IntegerAdditive(MetricSemigroup):
     """The integers under addition with |a - b|."""
 
+    name = spec = "int"
     is_abelian = True
     has_identity = True
     is_group = True
-    is_finite = False
     is_exact = True
-
-    def __init__(self):
-        self.name = "int"
-        self.spec = "int"
 
     def compose(self, a, b):
         return a + b
@@ -303,7 +339,7 @@ class IntegerAdditive(MetricSemigroup):
         return -a
 
     def contains(self, x):
-        return isinstance(x, int) and not isinstance(x, bool)
+        return is_integer(x)
 
     def random_element(self, rng):
         return rng.randint(-9, 9)
@@ -312,19 +348,22 @@ class IntegerAdditive(MetricSemigroup):
         return x
 
     def element_from_json(self, j):
-        return self.require_element(int(j))
+        return self.require_element(_read_integer(j))
 
 
-def _parse_rational(j) -> Fraction:
-    if isinstance(j, Fraction):
-        return j
-    if isinstance(j, int) and not isinstance(j, bool):
-        return Fraction(j)
-    if isinstance(j, str):
-        return Fraction(j)
-    raise CarrierMismatchError(
-        f"expected an integer or a 'p/q' string for an exact rational, got {j!r}"
-    )
+class BrokenSubtractionIntegers(IntegerAdditive):
+    """Integers under subtraction with |a - b|: composition is not associative."""
+
+    name = spec = "broken:subint"
+    is_associative = False
+    is_abelian = False
+    has_identity = False
+    is_group = False
+    identity = MetricSemigroup.identity
+    inverse = MetricSemigroup.inverse
+
+    def compose(self, a, b):
+        return a - b
 
 
 class PositiveRationalsAdditive(MetricSemigroup):
@@ -334,15 +373,9 @@ class PositiveRationalsAdditive(MetricSemigroup):
     axiom checks certify at zero tolerance.
     """
 
+    name = spec = "posreal"
     is_abelian = True
-    has_identity = False
-    is_group = False
-    is_finite = False
     is_exact = True
-
-    def __init__(self):
-        self.name = "posreal"
-        self.spec = "posreal"
 
     def compose(self, a, b):
         return a + b
@@ -364,7 +397,30 @@ class PositiveRationalsAdditive(MetricSemigroup):
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
     def element_from_json(self, j):
-        return self.require_element(_parse_rational(j))
+        return self.require_element(_read_rational(j))
+
+
+class BrokenMultiplicativeRationals(PositiveRationalsAdditive):
+    """Positive rationals under *multiplication* with |a - b|: a negative test.
+
+    Multiplication is associative and |a - b| is a metric, but the metric is
+    not translation-invariant (d(ac, bc) = c * d(a, b)), so this is not a
+    metric semigroup and axiom checks must flag it.
+    """
+
+    name = spec = "broken:mulreal"
+    has_identity = True
+    is_group = True
+
+    def compose(self, a, b):
+        return a * b
+
+    @property
+    def identity(self):
+        return Fraction(1)
+
+    def inverse(self, a):
+        return 1 / Fraction(a)
 
 
 def _norm_of(deltas: Sequence[float], norm: str) -> float:
@@ -376,21 +432,24 @@ def _norm_of(deltas: Sequence[float], norm: str) -> float:
 class RealVectorGroup(MetricSemigroup):
     """R^d under addition with the Euclidean or sup norm distance."""
 
+    prefix = "real"
     is_abelian = True
     has_identity = True
     is_group = True
-    is_finite = False
-    is_exact = False
 
     def __init__(self, dim: int, norm: str = "euclid"):
         if dim < 1:
-            raise InstanceSpecError("vector dimension must be >= 1")
+            raise InstanceSpecError(f"{self.prefix} dimension must be >= 1")
         if norm not in ("euclid", "sup"):
             raise InstanceSpecError(f"unknown norm {norm!r} (use euclid or sup)")
         self.dim = dim
         self.norm = norm
-        self.name = f"real({dim},{norm})"
-        self.spec = f"real:{dim}:{norm}"
+        self.name = f"{self.prefix}({dim},{norm})"
+        self.spec = f"{self.prefix}:{dim}:{norm}"
+
+    def wrap(self, coords: tuple) -> tuple:
+        """The element that the coordinate tuple `coords` stands for."""
+        return coords
 
     def compose(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -406,11 +465,7 @@ class RealVectorGroup(MetricSemigroup):
         return tuple(-x for x in a)
 
     def contains(self, x):
-        return (
-            isinstance(x, tuple)
-            and len(x) == self.dim
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
-        )
+        return isinstance(x, tuple) and len(x) == self.dim and all(map(is_finite_number, x))
 
     def random_element(self, rng):
         return tuple(rng.uniform(-5.0, 5.0) for _ in range(self.dim))
@@ -419,33 +474,24 @@ class RealVectorGroup(MetricSemigroup):
         return [float(v) for v in x]
 
     def element_from_json(self, j):
-        if isinstance(j, (int, float)) and self.dim == 1:
+        if self.dim == 1 and not isinstance(j, list):
             j = [j]
-        return self.require_element(tuple(float(v) for v in j))
+        if not (isinstance(j, list) and all(map(is_finite_number, j))):
+            raise CarrierMismatchError(f"expected a list of {self.dim} finite numbers, got {j!r}")
+        return self.require_element(self.wrap(tuple(map(float, j))))
 
 
-class TorusGroup(MetricSemigroup):
+class TorusGroup(RealVectorGroup):
     """The d-torus: coordinates mod 1, with the wrap-around quotient metric.
 
     Per coordinate the distance is min(|x - y|, 1 - |x - y|); coordinates are
     combined by the chosen norm.
     """
 
-    is_abelian = True
-    has_identity = True
-    is_group = True
-    is_finite = False
-    is_exact = False
+    prefix = "torus"
 
-    def __init__(self, dim: int, norm: str = "euclid"):
-        if dim < 1:
-            raise InstanceSpecError("torus dimension must be >= 1")
-        if norm not in ("euclid", "sup"):
-            raise InstanceSpecError(f"unknown norm {norm!r} (use euclid or sup)")
-        self.dim = dim
-        self.norm = norm
-        self.name = f"torus({dim},{norm})"
-        self.spec = f"torus:{dim}:{norm}"
+    def wrap(self, coords):
+        return tuple(c % 1.0 for c in coords)
 
     def compose(self, a, b):
         return tuple((x + y) % 1.0 for x, y in zip(a, b))
@@ -457,111 +503,14 @@ class TorusGroup(MetricSemigroup):
             deltas.append(min(d, 1.0 - d))
         return _norm_of(deltas, self.norm)
 
-    @property
-    def identity(self):
-        return (0.0,) * self.dim
-
     def inverse(self, a):
         return tuple((-x) % 1.0 for x in a)
 
     def contains(self, x):
-        return (
-            isinstance(x, tuple)
-            and len(x) == self.dim
-            and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v < 1
-                for v in x
-            )
-        )
+        return super().contains(x) and all(0 <= v < 1 for v in x)
 
     def random_element(self, rng):
         return tuple(rng.random() for _ in range(self.dim))
-
-    def element_to_json(self, x):
-        return [float(v) for v in x]
-
-    def element_from_json(self, j):
-        if isinstance(j, (int, float)) and self.dim == 1:
-            j = [j]
-        return self.require_element(tuple(float(v) % 1.0 for v in j))
-
-
-class BrokenMultiplicativeRationals(MetricSemigroup):
-    """Positive rationals under *multiplication* with |a - b|: a negative test.
-
-    Multiplication is associative and |a - b| is a metric, but the metric is
-    not translation-invariant (d(ac, bc) = c * d(a, b)), so this is not a
-    metric semigroup and axiom checks must flag it.
-    """
-
-    is_abelian = True
-    has_identity = True
-    is_group = True
-    is_finite = False
-    is_exact = True
-
-    def __init__(self):
-        self.name = "broken:mulreal"
-        self.spec = "broken:mulreal"
-
-    def compose(self, a, b):
-        return a * b
-
-    def distance(self, a, b):
-        return abs(a - b)
-
-    @property
-    def identity(self):
-        return Fraction(1)
-
-    def inverse(self, a):
-        return 1 / Fraction(a)
-
-    def contains(self, x):
-        return isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x > 0
-
-    def random_element(self, rng):
-        return Fraction(rng.randint(1, 12), rng.randint(1, 4))
-
-    def element_to_json(self, x):
-        x = Fraction(x)
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-    def element_from_json(self, j):
-        return self.require_element(_parse_rational(j))
-
-
-class BrokenSubtractionIntegers(MetricSemigroup):
-    """Integers under subtraction with |a - b|: composition is not associative."""
-
-    is_associative = False
-    is_abelian = False
-    has_identity = False
-    is_group = False
-    is_finite = False
-    is_exact = True
-
-    def __init__(self):
-        self.name = "broken:subint"
-        self.spec = "broken:subint"
-
-    def compose(self, a, b):
-        return a - b
-
-    def distance(self, a, b):
-        return abs(a - b)
-
-    def contains(self, x):
-        return isinstance(x, int) and not isinstance(x, bool)
-
-    def random_element(self, rng):
-        return rng.randint(-9, 9)
-
-    def element_to_json(self, x):
-        return x
-
-    def element_from_json(self, j):
-        return self.require_element(int(j))
 
 
 class WordMetricGroup(MetricSemigroup):
@@ -756,6 +705,8 @@ def parse_instance(spec: str) -> MetricSemigroup:
     ``broken:subint``, ``wordmetric:sym:3``.  Append ``+1`` to adjoin an
     identity (e.g. ``posreal+1``).
     """
+    if not isinstance(spec, str):
+        raise InstanceSpecError(f"instance spec must be a string, not {spec!r}")
     text = spec.strip()
     complete = False
     if text.endswith("+1"):

@@ -749,6 +749,22 @@ PAIR = [[1, "1"]]
          "must be an object with a 'config' object and a 'sequences' list"),
         ("sweep", {"config": {"count": 1}, "sequences": [5]},
          "sequence config must be an object, not 5"),
+        ("sweep", {"config": {"count": "x"}, "sequences": []},
+         "'count' must be an integer, not 'x'"),
+        ("check", {"instance": "int", "variables": [{"atoms": [[[1], "1"]]}]},
+         "expected a JSON integer, got [1]"),
+        ("check", {"instance": "int", "variables": [{"atoms": PAIR}], "z0": [1]},
+         "expected a JSON integer, got [1]"),
+        ("check", {"instance": "int", "variables": [{"atoms": [[1.5, "1/2"], [1, "1/2"]]}]},
+         "expected a JSON integer, got 1.5"),
+        ("check", {"instance": "cyclic:6", "variables": [{"atoms": [[2.9, "1"]]}]},
+         "expected a JSON integer, got 2.9"),
+        ("check", {"instance": "real:1",
+                   "variables": [{"atoms": [[float("inf"), "1/2"], [1.0, "1/2"]]}]},
+         "expected a list of 1 finite numbers, got [inf]"),
+        ("replay", {"command": "check", "config": CHECK_CONFIG | {"sequence": {
+            "instance": "sym:3", "variables": [{"atoms": [[[0, 1.9, 2], "1"]]}]}}},
+         "expected a JSON integer, got 1.9"),
     ],
 )
 def test_malformed_config_shapes_are_usage_errors(tmp_path, capsys, command, content, message):
@@ -760,6 +776,53 @@ def test_malformed_config_shapes_are_usage_errors(tmp_path, capsys, command, con
         "sweep": ["sweep", "--corpus", str(path)],
     }[command]
     assert run([*argv, "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert not (tmp_path / "out.json").exists()
+
+
+SWEEP_CONFIG = {"constant": "c", "corpus": {"count": 2}, "p0": "1", "eps": 1.0, "seed": 1}
+LEVY_CONFIG = {"instance": "torus:1", "schedule": "zero", "horizon": 3, "paths": 2, "seed": 0,
+               "eps_grid": [0.1], "windows": [1]}
+CORPUS_CONFIG = {"count": 2, "max_len": 2, "max_support": 2, "instances": ["int"], "seed": 1}
+MOGULSKII = CHECK_CONFIG | {"ineq": "mogulskii", "sequence": RADEMACHER2}
+HJ_SIMPLE_MC = MOGULSKII | {"ineq": "hj-simple", "engine": "mc", "trials": 100, "seed": 0,
+                            "flags": {"repeats": 1, "t": "1"}}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("check", MOGULSKII | {"flags": 5}, "check 'flags' must be an object, not 5"),
+        ("check", MOGULSKII | {"flags": {"t1": [1], "n1": 1}}, "check flag t1=[1]: "),
+        ("check", MOGULSKII | {"flags": {"foo": 1}}, "unknown check flag 'foo'"),
+        ("check", MOGULSKII | {"flags": {"m": 2.7, "a": 1, "b": 1}},
+         "check flag m=2.7: 2.7 is not an integer"),
+        ("check", MOGULSKII | {"flags": {"m": True, "a": 1, "b": 1}},
+         "check flag m=True: True is not an integer"),
+        ("check", MOGULSKII | {"flags": {"m": 1, "a": float("inf"), "b": 1}},
+         "check flag a=inf: "),
+        ("check", MOGULSKII | {"ineq": ["hj"]}, "unknown inequality ['hj']"),
+        ("check", HJ_SIMPLE_MC | {"trials": "x"}, "trials and seed must be integers, not 'x', 0"),
+        ("check", HJ_SIMPLE_MC | {"seed": 1.5}, "trials and seed must be integers, not 100, 1.5"),
+        ("sweep", SWEEP_CONFIG | {"corpus": {"count": "x"}},
+         "'count' must be an integer, not 'x'"),
+        ("sweep", SWEEP_CONFIG | {"corpus": 5}, "corpus config must be an object, not 5"),
+        ("corpus", CORPUS_CONFIG | {"instances": "int"}, "'instances' must be a list, not 'int'"),
+        ("corpus", CORPUS_CONFIG | {"instances": [5]}, "instance spec must be a string, not 5"),
+        ("levy", LEVY_CONFIG | {"horizon": "x"}, "'horizon' must be an integer, not 'x'"),
+        ("levy", LEVY_CONFIG | {"instance": 5}, "'instance' must be a string, not 5"),
+        ("levy", LEVY_CONFIG | {"eps_grid": 5}, "'eps_grid' must be a list, not 5"),
+        ("levy", LEVY_CONFIG | {"windows": ["a"]}, "window starts must lie in 1..horizon-1"),
+        ("axioms", {"instance": 5, "samples": None, "seed": 0, "tol": None},
+         "instance spec must be a string, not 5"),
+    ],
+)
+def test_replayed_values_of_the_wrong_type_are_usage_errors(tmp_path, capsys, command, config,
+                                                           message):
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps({"command": command, "config": config}))
+    assert run(["replay", str(edited), "--out", str(tmp_path / "out.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
     assert not (tmp_path / "out.json").exists()

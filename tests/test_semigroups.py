@@ -1,3 +1,5 @@
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +13,9 @@ from sgverify import (
     GraphGroup,
     InstanceSpecError,
     IntegerAdditive,
+    NotAGroupError,
     PositiveRationalsAdditive,
+    RealVectorGroup,
     SymmetricGroup,
     TorusGroup,
     adjoin_identity,
@@ -56,6 +60,8 @@ def test_torus_wraparound_metric():
     assert tor.compose((0.7,), (0.6,)) == pytest.approx((0.3,))
     sup = TorusGroup(2, "sup")
     assert sup.distance((0.1, 0.4), (0.9, 0.5)) == pytest.approx(0.2, abs=1e-12)
+    assert tor.element_from_json([1.25]) == (0.25,)
+    assert tor.element_from_json(-0.75) == (0.25,)
 
 
 def test_positive_rationals_has_no_identity():
@@ -104,22 +110,62 @@ def test_carrier_mismatch_errors():
         SymmetricGroup(3).require_element((0, 1))
     with pytest.raises(CarrierMismatchError):
         GraphGroup(3).require_element(frozenset({(0, 5)}))
+    for bad in (math.inf, -math.inf, math.nan, 10**400, True):
+        with pytest.raises(CarrierMismatchError):
+            RealVectorGroup(1).require_element((bad,))
+
+
+@pytest.mark.parametrize(
+    "spec, j",
+    [
+        ("int", 1.5),
+        ("int", True),
+        ("int", "7"),
+        ("int", [1]),
+        ("int", None),
+        ("broken:subint", 2.0),
+        ("cyclic:6", 2.9),
+        ("sym:3", [0, 1.9, 2]),
+        ("sym:3", "012"),
+        ("graphgroup:3", [[0, 1.5]]),
+        ("graphgroup:3", [[0]]),
+        ("graphgroup:3", [0, 1]),
+        ("posreal", 1.5),
+        ("posreal", "1/0"),
+        ("broken:mulreal", "x"),
+        ("real:1", "1"),
+        ("real:1", [True]),
+        ("real:1", [math.inf]),
+        ("real:1", [math.nan]),
+        ("real:1", [10**400]),
+        ("real:2", 1.0),
+        ("torus:1", [math.nan]),
+        ("torus:1", [-math.inf]),
+        ("posreal+1", 0),
+    ],
+)
+def test_element_from_json_rejects_other_json_values(spec, j):
+    with pytest.raises(CarrierMismatchError):
+        parse_instance(spec).element_from_json(j)
+
+
+SPECS = (
+    "cyclic:6",
+    "sym:4",
+    "graphgroup:3",
+    "int",
+    "posreal",
+    "posreal+1",
+    "real:2:sup",
+    "torus:1",
+    "broken:mulreal",
+    "broken:subint",
+    "wordmetric:sym:3",
+)
 
 
 def test_parse_instance_round_trip():
-    for spec in (
-        "cyclic:6",
-        "sym:4",
-        "graphgroup:3",
-        "int",
-        "posreal",
-        "posreal+1",
-        "real:2:sup",
-        "torus:1",
-        "broken:mulreal",
-        "broken:subint",
-        "wordmetric:sym:3",
-    ):
+    for spec in SPECS:
         inst = parse_instance(spec)
         assert inst.spec == spec or spec in ("torus:1",)  # torus gains its norm tag
         again = parse_instance(inst.spec)
@@ -127,18 +173,18 @@ def test_parse_instance_round_trip():
 
 
 def test_parse_instance_rejects_garbage():
-    for bad in ("cyclic", "cyclic:x", "ring:4", "torus:2:manhattan", ""):
+    for bad in ("cyclic", "cyclic:x", "ring:4", "torus:2:manhattan", "", 5, None):
         with pytest.raises(InstanceSpecError):
             parse_instance(bad)
 
 
 def test_element_json_round_trip():
     rng = random.Random(11)
-    for spec in ("cyclic:6", "sym:3", "graphgroup:3", "int", "posreal+1", "torus:2"):
+    for spec in (*SPECS, "sym:3", "torus:2"):
         inst = parse_instance(spec)
         for _ in range(25):
             x = inst.random_element(rng)
-            j = inst.element_to_json(x)
+            j = json.loads(json.dumps(inst.element_to_json(x)))
             back = inst.element_from_json(j)
             assert inst.elements_equal(x, back, tol=1e-15)
 
@@ -148,3 +194,29 @@ def test_integer_line_is_a_group():
     assert line.distance(-3, 4) == 7
     assert line.inverse(5) == -5
     assert line.identity == 0
+
+
+@pytest.mark.parametrize(
+    "spec, flags, identity",
+    [
+        ("int", (True, True, True, True, True), 0),
+        ("broken:subint", (False, False, False, False, True), None),
+        ("posreal", (True, True, False, False, True), None),
+        ("broken:mulreal", (True, True, True, True, True), F(1)),
+        ("real:2", (True, True, True, True, False), (0.0, 0.0)),
+        ("torus:2", (True, True, True, True, False), (0.0, 0.0)),
+    ],
+)
+def test_carrier_families_keep_their_flags(spec, flags, identity):
+    inst = parse_instance(spec)
+    kinds = (inst.is_associative, inst.is_abelian, inst.has_identity, inst.is_group, inst.is_exact)
+    assert kinds == flags and not inst.is_finite
+    if identity is None:
+        with pytest.raises(NotAGroupError):
+            inst.identity
+        with pytest.raises(NotAGroupError):
+            inst.inverse(inst.random_element(random.Random(0)))
+    else:
+        assert inst.identity == identity
+        x = inst.random_element(random.Random(0))
+        assert inst.elements_equal(inst.compose(x, inst.inverse(x)), identity, tol=1e-12)
