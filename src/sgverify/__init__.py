@@ -30,10 +30,8 @@ from .inequalities import (
     check_truncated_quantile_shift,
     check_walk_moment_bound,
     check_walk_quantile_ratio,
-    estimate_moment_growth_constant,
     estimate_quantile_ratio_constant,
     moment_growth_multiplier,
-    required_moment_growth_constant,
     sweep_moment_growth,
     sweep_moment_vs_quantile,
     tight_block_set,

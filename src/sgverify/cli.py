@@ -267,23 +267,14 @@ def _bare(rep: RatioReport, params: dict) -> RatioReport:
     return RatioReport(rep.name, params, rep.ratio, degenerate=rep.degenerate)
 
 
-def _growth_required(seq, params: dict, eps) -> RatioReport:
-    """The constant the first moment-growth bound needs on `seq`, at the
-    p0, p and q of `params`."""
-    pq = [(_exponent(params["p"]), _exponent(params["q"]))]
-    (rep,) = moment_growth_reports(seq, params["p0"], eps, pq)
-    return _bare(rep, params)
-
-
 def _moment_growth(seq, f: dict) -> list:
-    if "c" not in f:
-        params = {"p0": f["p0"], "p": f["p"], "q": f["q"], "eps": f["eps"]}
-        return [_growth_required(seq, params, f["eps"])]
-    return list(
-        check_moment_growth(
-            seq, f["p0"], _exponent(f["p"]), _exponent(f["q"]), f["eps"], f["c"], f.get("cprime")
-        )
-    )
+    """Both growth bounds checked at --c (and --cprime) when c is given, else
+    the constant the first bound needs on `seq` at p0, p, q and eps."""
+    p0, p, q, eps = f["p0"], _exponent(f["p"]), _exponent(f["q"]), f["eps"]
+    if "c" in f:
+        return list(check_moment_growth(seq, p0, p, q, eps, f["c"], f.get("cprime")))
+    (rep,) = moment_growth_reports(seq, p0, eps, [(p, q)])
+    return [_bare(rep, {"p0": p0, "p": f["p"], "q": f["q"], "eps": eps})]
 
 
 def _median(values):
@@ -315,8 +306,7 @@ def default_suite(seq) -> list:
     reports.append(check_walk_moment_bound(seq, 1))
     reports.append(check_walk_moment_bound(seq, 2))
     reports.append(check_spike_moment_bound(seq, Fraction(9, 10), 1))
-    eps = math.log(16)
-    reports.append(_growth_required(seq, {"p0": 1, "p": 1, "q": 2, "eps": eps}, eps))
+    reports.extend(_moment_growth(seq, {"p0": 1, "p": 1, "q": 2, "eps": math.log(16)}))
     return reports
 
 

@@ -769,20 +769,6 @@ def moment_growth_components(seq: IndependentSequence, p, q) -> dict:
     }
 
 
-def required_moment_growth_constant(seq: IndependentSequence, p0, p, q, eps):
-    """Per-instance constant required by the first growth bound; None when the
-    instance is degenerate (both sides identically zero)."""
-    _validate_growth_params(p0, p, q, eps, second=False)
-    parts = moment_growth_components(seq, p, q)
-    factor = moment_growth_factor(p, q, eps)
-    denom = factor * (
-        float(parts["walk_root_p"]) + float(parts["step_quantile"])
-    ) + float(parts["step_root_q"])
-    if denom == 0:
-        return None, parts
-    return float(parts["walk_root_q"]) / denom, parts
-
-
 def _combined_growth_sides(parts: dict) -> tuple:
     """The second growth bound reads left <= c' * q/max(p, log(eps+q)) * base;
     (left, base) from the components of the first bound at p and q."""
@@ -864,13 +850,17 @@ def moment_growth_reports(seq: IndependentSequence, p0, eps, pq_grid=DEFAULT_PQ_
     with the components it comes from; inf, and degenerate, when both sides
     are identically zero."""
     for p, q in pq_grid:
-        required, parts = required_moment_growth_constant(seq, p0, p, q, eps)
+        _validate_growth_params(p0, p, q, eps, second=False)
+        parts = moment_growth_components(seq, p, q)
+        denom = moment_growth_factor(p, q, eps) * (
+            float(parts["walk_root_p"]) + float(parts["step_quantile"])
+        ) + float(parts["step_root_q"])
         yield RatioReport(
             "moment-growth-required",
             {"p0": p0, "p": p, "q": q},
-            math.inf if required is None else required,
+            float(parts["walk_root_q"]) / denom if denom else math.inf,
             parts,
-            degenerate="identically zero denominators" if required is None else None,
+            degenerate=None if denom else "identically zero denominators",
         )
 
 
@@ -924,29 +914,11 @@ def estimate_quantile_ratio_constant(
     )
 
 
-def estimate_moment_growth_constant(
-    corpus,
-    p0=1,
-    eps=math.log(16),
-    pq_grid=DEFAULT_PQ_GRID,
-    seed: int | None = None,
-) -> ConstantEstimate:
-    """Supremal required constant for the first moment-growth bound over a
-    corpus and a (p, q) grid; monotone under corpus inclusion."""
-    return _supremum(
-        "moment-growth-constant",
-        corpus,
-        lambda seq: moment_growth_reports(seq, p0, eps, pq_grid),
-        len(tuple(pq_grid)),
-        seed,
-        {"eps": eps},
-    )
-
-
 def sweep_moment_growth(corpus, p0, eps, seed: int | None = None) -> dict:
-    """Estimate c on the default (p, q) grid as `estimate_moment_growth_constant`
-    does, then check the second growth bound at c' = c * multiplier on every
-    item and grid point, from the sides recorded in the same pass."""
+    """Estimate c as the supremal required constant of the first growth bound
+    over the corpus and the default (p, q) grid (monotone under corpus
+    inclusion), then check the second growth bound at c' = c * multiplier on
+    every item and grid point, from the sides recorded in the same pass."""
     for p, q in DEFAULT_PQ_GRID:
         _validate_growth_params(p0, p, q, eps, second=True)
     sides = {pq: array("d") for pq in DEFAULT_PQ_GRID}  # flat (left, base) pairs

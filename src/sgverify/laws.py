@@ -113,8 +113,8 @@ class DiscreteDistribution:
         elements against its instance."""
         merged: dict = {}
         for element, prob in pairs:
-            if prob < 0:
-                raise ValueError(f"negative probability {prob} for atom {element!r}")
+            if not prob >= 0:  # also false for NaN
+                raise ValueError(f"probability {prob} for atom {element!r} is not >= 0")
             if element in merged:
                 if not merge:
                     raise ValueError(f"duplicate atom {element!r}")
@@ -233,8 +233,8 @@ class ScalarLaw:
     ) -> "ScalarLaw":
         merged: dict = {}
         for v, p in pairs:
-            if p < 0:
-                raise ValueError(f"negative probability {p}")
+            if not p >= 0:  # also false for NaN
+                raise ValueError(f"probability {p} is not >= 0")
             merged[v] = merged.get(v, 0) + p
         items = sorted((v, p) for v, p in merged.items() if p > 0)
         values = tuple(v for v, _ in items)
@@ -818,9 +818,12 @@ def _prob_from_json(j):
     if isinstance(j, str):
         # the plain "p/q" form from ints; every other form Fraction parses
         num, _, den = j.partition("/")
-        if num.isdecimal() and den.isdecimal():
-            return Fraction(int(num), int(den))
-        return Fraction(j)
+        try:
+            if num.isdecimal() and den.isdecimal():
+                return Fraction(int(num), int(den))
+            return Fraction(j)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"cannot parse probability {j!r}") from None
     if isinstance(j, bool):
         raise ValueError("probability cannot be a boolean")
     if isinstance(j, int):

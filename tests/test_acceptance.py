@@ -10,8 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from sgverify import (
     CompletedMonoid,
     DiscreteDistribution,
@@ -31,30 +29,26 @@ from sgverify import (
     check_walk_quantile_ratio,
     derive_seed,
     detect_convergence,
-    estimate_moment_growth_constant,
     estimate_quantile_ratio_constant,
     mc_tail_agreement,
     moment_growth_multiplier,
     monte_carlo_law,
     parse_instance,
     simulate_walk,
+    sweep_moment_growth,
     verify_axioms,
 )
-from sgverify.corpus import CorpusSpec, generate_corpus, random_hj_parameters
+from sgverify.corpus import random_hj_parameters
+from sgverify.inequalities import DEFAULT_PQ_GRID
 
 F = Fraction
 
+# the seed of the session corpus (`corpus` in conftest.py)
 CORPUS_SEED = 1
-CORPUS_SIZE = 10_000
 
 
 def ok(criterion: str, detail: str):
     print(f"\nACCEPTANCE {criterion}: PASS ({detail})")
-
-
-@pytest.fixture(scope="session")
-def corpus():
-    return generate_corpus(CorpusSpec(count=CORPUS_SIZE, seed=CORPUS_SEED))
 
 
 def assert_certified(report, where):
@@ -182,13 +176,15 @@ def test_c07_truncation_and_moment_bounds(corpus):
     ok("C7 truncation-bounds", f"{checked} checks at p in (0.5,1,2), {elapsed:.1f}s")
 
 
+# the (p, q) grid of the `c` sweep
 PQ_GRID = ((1, 1), (1, 2), (2, 4), (1, 8))
 
 
 def test_c08_moment_growth_constant(corpus):
     start = time.time()
     eps = math.log(16)
-    estimate = estimate_moment_growth_constant(corpus, p0=1, eps=eps, pq_grid=PQ_GRID)
+    assert PQ_GRID == DEFAULT_PQ_GRID
+    estimate = sweep_moment_growth(corpus, 1, eps)["estimate"]
     assert math.isfinite(estimate.value) and estimate.value > 0
     cprime = estimate.value * moment_growth_multiplier(1, eps)
     violations = 0

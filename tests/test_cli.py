@@ -192,6 +192,79 @@ def test_check_remaining_subcommands(seq_file, tmp_path):
         assert read_json(out)["results"], extra
 
 
+# the README's sequence config, and one with float probabilities
+README_INT = {
+    "instance": "int",
+    "variables": [
+        {"atoms": [[1, "1/2"], [-1, "1/2"]]},
+        {"atoms": [[1, "3/10"], [-2, "7/10"]]},
+    ],
+    "z0": 0,
+    "z1": 0,
+}
+FLOAT_INT = {
+    "instance": "int",
+    "variables": [
+        {"atoms": [[1, 0.3], [-2, 0.7]]},
+        {"atoms": [[2, 0.25], [-1, 0.5], [0, 0.25]]},
+        {"atoms": [[1, 0.5], [-1, 0.5]]},
+    ],
+}
+
+# SHA-256 of each `check` output, recorded at commit 8ac1240; they hold only
+# while the growth bounds' floats keep their evaluation order.
+CHECK_DIGESTS = {
+    ("int", "all"): "e178b5b908a92806fb6eb366544a3d31748a6a42dd9719ae99db97783f053b2b",
+    ("int", "hj", "--k", "1", "--n1", "2", "--t1", "1", "--s", "1"):
+        "b57bd63cca14e57417f2a9b1b2b433cb8fb78d27127b6240de66686174d900f0",
+    ("int", "hj-simple", "--repeats", "2", "--t", "1"):
+        "f26c72359380e4c11c9c5f6008d5a3f706eb5fcfbd7c1c9eec1645581730dc9b",
+    ("int", "mogulskii", "--m", "1", "--a", "1", "--b", "1"):
+        "855b615eb35795adadd3be853cf608864f8eb21ba9ee0fc1580166cf6adbd12b",
+    ("int", "quantile-chain", "--t", "1/10"):
+        "e37b455154a1553868c874e1c2a18b93dbffdd525888be78381b86a0188f5c16",
+    ("int", "moment-sandwich", "--t", "1/2", "--p", "2"):
+        "ddec9ff30ef29b0a3fd2c3b03a847fdcf852cd922dbc4093ded7f52ff26af0b0",
+    ("int", "quantile-ratio", "--t", "1/10", "--s", "1/2"):
+        "b22c12ec7240fa84deb2b3ceabdd935bba24031303a88c592616b8a6c5312cee",
+    ("int", "moment-vs-quantile", "--p", "2"):
+        "fd4ce1187a93a84e3baf1d1b7fea43a3457796425a15676db7398c503ef9dec8",
+    ("int", "trunc-quantile", "--p", "1"):
+        "5f3f2c53141a5eb1d19ac06b1439a8ee4d4b2383e1ce398a7051052603860bbb",
+    ("int", "walk-moment", "--p", "2"):
+        "474f0a22ca71a2d5170cca274aa76afbaa72304d46b4c2c7b86b692261e93f3e",
+    ("int", "spike-moment", "--r", "9/10", "--p", "1"):
+        "7a42a3354fbaeb38720715bddd6d908766df63ee7be1d133f1a3b6fba3492e05",
+    ("int", "moment-growth", "--p", "1", "--q", "2"):
+        "6bf57e68544ad5013ce1f36c51d25d1c3c7841b49c7b9a4ff0fd5c65fb3b788b",
+    ("int", "moment-growth", "--p", "1", "--q", "2", "--c", "1.5"):
+        "83aac401ff91d6326a8581419056d5be894adaaa94d6841a08245bf2a16f55bd",
+    ("int", "moment-growth", "--p", "1/2", "--q", "3/2", "--p0", "1/2"):
+        "1f76686467708ba9c17eba9e0f585b4704de632f16cb871ea9eff52b0a6b8092",
+    ("int", "moment-growth", "--p", "2", "--q", "4", "--c", "0.7", "--cprime", "3"):
+        "f69cfb9d1e107d55e77422d83d328fb80329309b73cea13f00c448f0d97864d9",
+    ("int", "hj-simple", "--repeats", "2", "--t", "1",
+     "--engine", "mc", "--trials", "1000", "--seed", "3"):
+        "32dbf41f918c69e79d8e4de43e99cc118993f51dcd8a76ede57fca2212703d88",
+    ("int", "all", "--format", "csv"):
+        "329d6b2ac2726e4cb4bfe5c9a7fc5c6c9d61029b81530507d4987087fa882b1d",
+    ("float", "all"): "e099e11462feb55ceda9c5b143c7b266166e5cbcc23c291f9df7081f066f4fd5",
+    ("float", "moment-growth", "--p", "1", "--q", "2"):
+        "2ff082f797e2fe254a6255bf929c948a0ff83be019daf031877b842a3667b5c3",
+    ("float", "moment-growth", "--p", "1", "--q", "2", "--c", "1.5"):
+        "cc4b82c43b69fcb6085e100ed5fedbd7a5d32ea990e182d6e609fe1476c62fc0",
+}
+
+
+def test_check_outputs_keep_their_digests(tmp_path):
+    configs = {"int": README_INT, "float": FLOAT_INT}
+    for (source, name, *extra), digest in CHECK_DIGESTS.items():
+        path, out = tmp_path / f"{source}.json", tmp_path / "out"
+        path.write_text(json.dumps(configs[source]))
+        assert run(["check", str(path), "--ineq", name, *extra, "--out", str(out)]) == 0, extra
+        assert sha256(out) == digest, (source, name, *extra)
+
+
 @pytest.mark.parametrize(
     "name", ["walk-moment", "moment-vs-quantile", "trunc-quantile", "spike-moment"]
 )
@@ -765,6 +838,10 @@ PAIR = [[1, "1"]]
         ("replay", {"command": "check", "config": CHECK_CONFIG | {"sequence": {
             "instance": "sym:3", "variables": [{"atoms": [[[0, 1.9, 2], "1"]]}]}}},
          "expected a JSON integer, got 1.9"),
+        ("check", {"instance": "int", "variables": [{"atoms": [[1, float("nan")], [2, "1"]]}]},
+         "probability nan for atom 1 is not >= 0"),
+        ("check", {"instance": "int", "variables": [{"atoms": [[1, "1/0"]]}]},
+         "cannot parse probability '1/0'"),
     ],
 )
 def test_malformed_config_shapes_are_usage_errors(tmp_path, capsys, command, content, message):

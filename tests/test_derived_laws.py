@@ -20,7 +20,6 @@ from sgverify import (
     truncate,
     truncate_upper,
 )
-from sgverify.corpus import CorpusSpec, generate_corpus
 from sgverify.inequalities import _capped_walk_law, _identity_frame
 from sgverify.rearrange import aggregate_tail
 
@@ -78,9 +77,9 @@ def test_truncation_that_replaces_no_step_keeps_the_frame_law():
     assert not same(cut, kept)
 
 
-def test_cached_capped_laws_equal_laws_built_from_scratch_on_default_corpus():
+def test_cached_capped_laws_equal_laws_built_from_scratch_on_default_corpus(fresh_corpus):
     unchanged = 0
-    for seq in generate_corpus(CorpusSpec(count=10_000, seed=1)):
+    for seq in fresh_corpus:
         frame, _ = _identity_frame(seq)
         mags = aggregate_tail(frame)
         for p in C07_ORDERS:

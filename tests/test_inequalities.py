@@ -25,17 +25,15 @@ from sgverify import (
     check_truncated_quantile_shift,
     check_walk_moment_bound,
     check_walk_quantile_ratio,
-    estimate_moment_growth_constant,
     estimate_quantile_ratio_constant,
     moment_growth_multiplier,
     parse_instance,
-    required_moment_growth_constant,
     sweep_moment_growth,
     tight_block_set,
 )
 from sgverify import inequalities
 from sgverify.cli import default_suite
-from sgverify.inequalities import DEFAULT_PQ_GRID, _chain_report
+from sgverify.inequalities import DEFAULT_PQ_GRID, _chain_report, moment_growth_reports
 from sgverify.corpus import CorpusSpec, generate_corpus, generate_sequence, random_hj_parameters
 from sgverify.laws import is_rational
 from sgverify.reports import FLOAT_SLACK_TOL, InequalityReport
@@ -447,13 +445,17 @@ def test_spike_moment_bound_examples():
 # -- moment growth -------------------------------------------------------------
 
 
+def required(seq, p, q, p0=1, eps=math.log(16)):
+    """The first growth bound's required-constant report at one (p, q)."""
+    (rep,) = moment_growth_reports(seq, p0, eps, [(p, q)])
+    return rep
+
+
 def test_required_growth_constant_worked_example():
-    req, parts = required_moment_growth_constant(
-        rademacher_seq(2), 1, 1, 1, math.log(16)
-    )
+    rep = required(rademacher_seq(2), 1, 1)
     factor = 1 / math.log(1 + math.log(16))
-    assert req == pytest.approx(1.5 / (factor * 2.5 + 1), abs=1e-12)
-    assert parts["step_quantile"] == 1
+    assert rep.ratio == pytest.approx(1.5 / (factor * 2.5 + 1), abs=1e-12)
+    assert rep.components["step_quantile"] == 1
     # second bound: E[peak] <= c' * factor * (E[peak] + E[step peak])
     _, second = check_moment_growth(rademacher_seq(2), 1, 1, 1, math.log(16), c=1.0, cprime=2.0)
     assert second.lhs == 1.5
@@ -462,7 +464,7 @@ def test_required_growth_constant_worked_example():
 
 def test_growth_bounds_hold_with_required_constant():
     seq = rademacher_seq(3)
-    req, _ = required_moment_growth_constant(seq, 1, 1, 2, math.log(16))
+    req = required(seq, 1, 2).ratio
     first, second = check_moment_growth(seq, 1, 1, 2, math.log(16), c=req)
     assert first.holds and abs(first.slack) < 1e-9
     assert second.holds
@@ -474,28 +476,28 @@ def test_growth_bounds_hold_with_required_constant():
 def test_growth_p_equals_q_needs_no_inflation():
     # with p = q the peak root appears on both sides; c = 1 always works
     for seq in generate_corpus(CorpusSpec(count=20, seed=33)):
-        req, _ = required_moment_growth_constant(seq, 1, 1, 1, math.log(16))
-        if req is not None:
-            assert req <= 1 + 1e-12
+        rep = required(seq, 1, 1)
+        if not rep.degenerate:
+            assert rep.ratio <= 1 + 1e-12
 
 
 def test_growth_parameter_domain():
     seq = rademacher_seq(2)
     with pytest.raises(ValueError):
-        required_moment_growth_constant(seq, 1, 2, 1, math.log(16))  # q < p
+        required(seq, 2, 1)  # q < p
     with pytest.raises(ValueError):
-        required_moment_growth_constant(seq, 1, 1, 2, 5.0)  # eps > log 16
+        required(seq, 1, 2, eps=5.0)  # eps > log 16
     with pytest.raises(ValueError):
         check_moment_growth(seq, 2.5, 2.5, 3, 0.1, c=1.0)  # eps below the gate
 
 
 def test_estimate_c_monotone_and_finite():
     corpus = generate_corpus(CorpusSpec(count=40, seed=18))
-    small = estimate_moment_growth_constant(corpus[:20])
-    big = estimate_moment_growth_constant(corpus)
+    small = sweep_moment_growth(corpus[:20], 1, math.log(16))["estimate"]
+    big = sweep_moment_growth(corpus, 1, math.log(16))["estimate"]
     assert big.value >= small.value
     assert math.isfinite(big.value) and big.value > 0
-    assert estimate_moment_growth_constant(iter(corpus)) == big
+    assert sweep_moment_growth(iter(corpus), 1, math.log(16))["estimate"] == big
     assert big.corpus_size == 40
 
 
@@ -516,18 +518,25 @@ def test_sweep_c_checks_the_second_bound_as_check_moment_growth_does(
     multiplier = moment_growth_multiplier(p0, eps) * shrink
     monkeypatch.setattr(inequalities, "moment_growth_multiplier", lambda p0, eps: multiplier)
     corpus = generate_corpus(CorpusSpec(count=40, seed=18))
-    # the reference: estimate c first, then check every item again
-    estimate = estimate_moment_growth_constant(corpus, p0=p0, eps=eps)
-    cprime = estimate.value * multiplier
+    # the reference: the largest required constant, then every item checked again
+    reports = [(index, rep) for index, seq in enumerate(corpus)
+               for rep in moment_growth_reports(seq, p0, eps)]
+    ratios = [(rep.ratio, -index) for index, rep in reports if not rep.degenerate]
+    c, negated_index = max(ratios)  # the first item that reaches c
+    cprime = c * multiplier
     seconds = [
-        check_moment_growth(seq, p0, p, q, eps, estimate.value, cprime)[1]
+        check_moment_growth(seq, p0, p, q, eps, c, cprime)[1]
         for seq in corpus
         for p, q in DEFAULT_PQ_GRID
     ]
     violations = sum(not rep.holds for rep in seconds)
     assert (0 < violations < len(seconds)) == (shrink < 1)
-    assert sweep_moment_growth(iter(corpus), p0, eps) == {
-        "estimate": estimate,
+    result = sweep_moment_growth(iter(corpus), p0, eps)
+    estimate = result.pop("estimate")
+    assert (estimate.value, estimate.witness["corpus_index"]) == (c, -negated_index)
+    assert estimate.skipped_degenerate == len(reports) - len(ratios)
+    assert (estimate.corpus_size, estimate.grid_size) == (len(corpus), len(DEFAULT_PQ_GRID))
+    assert result == {
         "multiplier": multiplier,
         "cprime": cprime,
         "second_bound_checked": len(seconds),

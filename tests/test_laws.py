@@ -264,6 +264,11 @@ def test_scalar_law_rejects_bad_input():
         ScalarLaw.from_pairs([(1, F(1, 2))])
     with pytest.raises(ValueError):
         DiscreteDistribution.of([(1, F(1, 2)), (1, F(1, 2))])
+    # a NaN probability is refused, not dropped with the zero probabilities
+    with pytest.raises(ValueError, match="probability nan for atom 1 is not >= 0"):
+        DiscreteDistribution.of([(1, math.nan), (2, 1.0)])
+    with pytest.raises(ValueError, match="probability nan is not >= 0"):
+        ScalarLaw.from_pairs([(1, math.nan), (2, 1.0)])
 
 
 def assert_same_law(law, other):
@@ -283,8 +288,8 @@ def from_weights_of(law):
     )
 
 
-def test_from_weights_matches_from_pairs_on_default_corpus():
-    for seq in generate_corpus(CorpusSpec(count=10_000, seed=1)):
+def test_from_weights_matches_from_pairs_on_default_corpus(fresh_corpus):
+    for seq in fresh_corpus:
         for law in (seq.walk_peak_law, seq.end_distance_law, seq.step_peak_law):
             pairs = ScalarLaw.from_pairs(zip(law.values[::-1], law.probs[::-1]))
             assert_same_law(law, pairs)

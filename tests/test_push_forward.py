@@ -145,8 +145,8 @@ def assert_stay_matches_pair_pass(seq, b):
         assert_same(_mogulskii_probabilities(seq, m, b, b)[-1], stay[m - 1 :])
 
 
-def test_exact_engine_matches_enumeration_on_default_corpus():
-    for seq in generate_corpus(CorpusSpec(count=10_000, seed=1)):
+def test_exact_engine_matches_enumeration_on_default_corpus(fresh_corpus):
+    for seq in fresh_corpus:
         ends = seq.end_distance_law.values
         radius = ends[(len(ends) - 1) // 2]
         assert_matches_oracle(seq, (seq.n + 1) // 2, radius, radius)
@@ -450,8 +450,8 @@ def assert_matches_cdf_product(seq):
     assert_same_scalar_law(seq.step_peak_law, product_step_peak_law(seq))
 
 
-def test_magnitude_and_step_peak_laws_match_the_cdf_product_on_default_corpus():
-    for seq in generate_corpus(CorpusSpec(count=10_000, seed=1)):
+def test_magnitude_and_step_peak_laws_match_the_cdf_product_on_default_corpus(fresh_corpus):
+    for seq in fresh_corpus:
         assert_matches_cdf_product(seq)
 
 

@@ -31,7 +31,6 @@ from sgverify import (
     tail_sum_inverse,
     tail_sum_inverse_law,
 )
-from sgverify.corpus import CorpusSpec, generate_corpus
 from sgverify.inequalities import _identity_frame
 from sgverify.laws import _prob_from_json
 from sgverify.rearrange import AggregateTail, aggregate_tail, pow_value
@@ -131,8 +130,8 @@ def assert_quantiles_match(mags, laws, levels):
             assert same(rearrangement_at(law, t), scan_rearrangement_at(law, t)), t
 
 
-def test_quantile_layer_matches_linear_scans_on_default_corpus():
-    for seq in generate_corpus(CorpusSpec(count=10_000, seed=1)):
+def test_quantile_layer_matches_linear_scans_on_default_corpus(fresh_corpus):
+    for seq in fresh_corpus:
         mags = aggregate_tail(seq)
         assert aggregate_tail(seq) is mags
         laws = (seq.walk_peak_law, seq.step_peak_law, tail_sum_inverse_law(mags))
@@ -235,8 +234,8 @@ CHECKER_LEVELS = (
 CHECKER_ORDERS = (*P_GRID, 0.5, 2.5)
 
 
-def test_int_paths_match_the_fraction_oracles_on_default_corpus():
-    for seq in generate_corpus(CorpusSpec(count=10_000, seed=1)):
+def test_int_paths_match_the_fraction_oracles_on_default_corpus(fresh_corpus):
+    for seq in fresh_corpus:
         laws = (seq.walk_peak_law, seq.step_peak_law, seq.end_distance_law)
         assert_matches_fraction_oracles(aggregate_tail(seq), laws, CHECKER_LEVELS, CHECKER_ORDERS)
         frame, _ = _identity_frame(seq)
@@ -317,9 +316,11 @@ RATIONAL_TEXT = r"\A\s*[-+]?\d*(_\d+)*(/\d+(_\d+)*|\.\d*)?([eE][-+]?\d{1,3})?\s*
 def test_prob_from_json_parses_as_fraction_does(text):
     try:
         expected = Fraction(text)
-    except Exception as exc:
-        with pytest.raises(type(exc)):
+    except (ValueError, ZeroDivisionError):
+        # a text Fraction refuses, "1/0" too, is a usage error that names it
+        with pytest.raises(ValueError) as err:
             _prob_from_json(text)
+        assert str(err.value) == f"cannot parse probability {text!r}"
         return
     got = _prob_from_json(text)
     assert type(got) is Fraction and got.as_integer_ratio() == expected.as_integer_ratio()
