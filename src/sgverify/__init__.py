@@ -57,14 +57,12 @@ from .levy import (
     simulate_walk,
 )
 from .rearrange import (
-    check_rearrangement_transfer,
     excess_tail_moment,
     rearrangement_at,
     tail_sum_inverse,
     tail_sum_inverse_law,
     truncate,
     truncate_upper,
-    TransferTuple,
 )
 from .reports import (
     ConstantEstimate,

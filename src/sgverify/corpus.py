@@ -81,9 +81,7 @@ def _random_distribution(
 ) -> DiscreteDistribution:
     size = rng.randint(1, max_support)
     elems = _distinct_elements(inst, rng, size)
-    weights = [rng.randint(1, 9) for _ in elems]
-    total = sum(weights)
-    return DiscreteDistribution.of([(e, Fraction(w, total)) for e, w in zip(elems, weights)])
+    return DiscreteDistribution.from_weights(elems, [rng.randint(1, 9) for _ in elems])
 
 
 def generate_sequence(

@@ -425,29 +425,29 @@ def _mogulskii_probabilities(seq: IndependentSequence, m: int, a, b) -> tuple:
         """A sum of weights as a probability; an empty sum stays the int 0."""
         return Fraction(total, denominator) if denominator and total else total
 
-    tails = [{None: one}]
+    tails = [((None,), [one])]
     for k in range(n, m, -1):
         tails.append(_advance(tails[-1], columns[k - 1], prepend, k, cap))
-    states = {(None, False, False): one}
+    states = ((None, False, False),), [one]
     heads = []
-    for k, atoms in enumerate(columns, 1):
-        states = _advance(states, atoms, in_window if k >= m else before_window, k, cap)
+    for k, column in enumerate(columns, 1):
+        states = _advance(states, column, in_window if k >= m else before_window, k, cap)
         if k >= m:
             heads.append({})
-            for (s, _, _), w in states.items():
+            for (s, _, _), w in zip(*states):
                 heads[-1][s] = heads[-1].get(s, 0) + w
     stay = []
-    for k, head, tail in zip(range(m, n + 1), heads, reversed(tails)):
-        if len(head) * len(tail) > cap:
+    for k, head, (suffixes, weights) in zip(range(m, n + 1), heads, reversed(tails)):
+        if len(head) * len(suffixes) > cap:
             raise EnumerationCapError(
                 f"{len(head)} partial products at window index {k} times "
-                f"{len(tail)} suffix products would exceed the state cap {cap}"
+                f"{len(suffixes)} suffix products would exceed the state cap {cap}"
             )
         stay.append(prob(sum(
-            w * v for s, w in head.items() for g, v in tail.items()
+            w * v for s, w in head.items() for g, v in zip(suffixes, weights)
             if g is None or distance(s, compose(s, g)) <= b
         )))
-    ends = [(shifted(s), low, high, w) for (s, low, high), w in states.items()]
+    ends = [(shifted(s), low, high, w) for (s, low, high), w in zip(*states)]
     return (
         prob(sum(w for _, low, _, w in ends if low)),
         prob(sum(w for _, _, high, w in ends if high)),
@@ -573,7 +573,7 @@ def _capped_walk_law(frame: IndependentSequence, transform, cut) -> ScalarLaw:
         e = inst.identity
         # `truncate` replaces exactly the atoms with distance(e, x) > cut
         if transform is truncate and all(
-            inst.distance(e, x) <= cut for var in frame.variables for x, _ in var.atoms
+            inst.distance(e, x) <= cut for var in frame.variables for x in var.support
         ):
             return frame.walk_peak_law
         capped = [transform(var, cut, inst) for var in frame.variables]

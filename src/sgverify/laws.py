@@ -1,12 +1,16 @@
 """Independent step sequences and the laws of their path statistics.
 
 Every step is a `DiscreteDistribution`, a law with finitely many atoms.
-Each statistic is a transition step(state, x) plus value(state), and two
-engines push a measure on states forward one variable at a time, merging
-equal states:
+One with rational probabilities keeps them as int weights over the lcm of
+their denominators, checks its mass in ints, and makes its (element,
+Fraction) atoms only when they are read; the engines and the corpus read
+the ints.  Each statistic is a transition step(state, x) plus
+value(state), and two engines push a measure on states forward one
+variable at a time, merging equal states:
 
-* the exact engine keeps a dict from state to weight.  When every
-  probability is rational the weights are integer numerators over one
+* the exact engine keeps the distinct states, in the order they are first
+  reached, with their weights, and hashes each next state once.  When
+  every probability is rational the weights are integer numerators over one
   common denominator, the product of each variable's lcm of probability
   denominators, and stay integers in the law they build, so downstream
   inequality checks certify at zero tolerance without a gcd per addition;
@@ -103,9 +107,38 @@ class DiscreteDistribution:
 
     Probabilities are Fractions (exact mode) or floats; they must be positive
     and sum to one (exactly when rational, else within `MASS_TOL`).
+
+    However it is built, a distribution keeps its elements as `support`.
+    When every probability is rational (`is_rational`) it also keeps
+    `weights_over_lcm`, (L, (p * L, ...)) in the order of `support`, L the
+    lcm of the probabilities' denominators, so the weights are ints whose
+    gcd is 1; the mass is checked in ints, and a distribution made by
+    `from_weights` makes its Fraction `atoms` only on first read.
     """
 
     atoms: tuple
+
+    # Fields are set by object.__setattr__, not through __dict__, which
+    # would make each distribution hold a dict of its own.
+
+    def __post_init__(self):
+        probs = [p for _, p in self.atoms]
+        rational = all(is_rational(p) for p in probs)
+        object.__setattr__(self, "support", tuple(e for e, _ in self.atoms))
+        object.__setattr__(self, "is_rational", rational)
+        if rational:
+            lcm, weights = _over_lcm(probs)
+            object.__setattr__(self, "weights_over_lcm", (lcm, tuple(weights)))
+
+    def __getattr__(self, name):
+        # reached only while a distribution made by `from_weights` has no
+        # `atoms` yet
+        if name != "atoms":
+            raise AttributeError(name)
+        lcm, weights = self.weights_over_lcm
+        atoms = tuple((e, Fraction(w, lcm)) for e, w in zip(self.support, weights))
+        object.__setattr__(self, "atoms", atoms)
+        return atoms
 
     @staticmethod
     def of(pairs: Iterable[tuple], merge: bool = False) -> "DiscreteDistribution":
@@ -124,13 +157,51 @@ class DiscreteDistribution:
         atoms = tuple((e, p) for e, p in merged.items() if p > 0)
         if not atoms:
             raise ValueError("distribution needs at least one atom")
-        total = sum(p for _, p in atoms)
-        if all(is_rational(p) for _, p in atoms):
-            if total != 1:
+        dist = DiscreteDistribution(atoms)
+        if dist.is_rational:
+            lcm, weights = dist.weights_over_lcm
+            total = sum(weights)
+            if total != lcm:
+                raise ValueError(f"probabilities sum to {Fraction(total, lcm)}, not 1")
+        else:
+            total = sum(p for _, p in atoms)
+            if abs(total - 1) > MASS_TOL:
                 raise ValueError(f"probabilities sum to {total}, not 1")
-        elif abs(total - 1) > MASS_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        return DiscreteDistribution(atoms)
+        return dist
+
+    @staticmethod
+    def from_weights(elements: Iterable, weights: Iterable[int]) -> "DiscreteDistribution":
+        """The distribution giving each of the distinct `elements` the
+        probability weight / sum(weights), for positive int weights.
+
+        Equal to `of` on the pairs (element, Fraction(weight, sum(weights))),
+        in value and in the repr of `atoms`, which it makes only on first
+        read; any other weights (zero, negative, bool, float) or repeated
+        elements take that path, and raise what it raises.
+        """
+        support, weights = tuple(elements), tuple(weights)
+        if len(support) != len(weights):
+            raise ValueError(f"{len(support)} elements but {len(weights)} weights")
+        total = sum(weights)
+        if (
+            not weights
+            or set(map(type, weights)) != {int}
+            or min(weights) <= 0
+            or len(set(support)) != len(support)
+        ):
+            return DiscreteDistribution.of(
+                [(e, Fraction(w, total)) for e, w in zip(support, weights)]
+            )
+        g = math.gcd(*weights)
+        if g > 1:
+            total //= g
+            weights = tuple(w // g for w in weights)
+        # Built without __init__, which would need the atoms.
+        dist = object.__new__(DiscreteDistribution)
+        object.__setattr__(dist, "support", support)
+        object.__setattr__(dist, "is_rational", True)
+        object.__setattr__(dist, "weights_over_lcm", (total, weights))
+        return dist
 
     @staticmethod
     def point_mass(element) -> "DiscreteDistribution":
@@ -140,20 +211,6 @@ class DiscreteDistribution:
     def uniform(elements: Sequence) -> "DiscreteDistribution":
         n = len(elements)
         return DiscreteDistribution.of([(e, Fraction(1, n)) for e in elements])
-
-    @property
-    def support(self) -> tuple:
-        return tuple(e for e, _ in self.atoms)
-
-    @cached_property
-    def is_rational(self) -> bool:
-        return all(is_rational(p) for _, p in self.atoms)
-
-    @cached_property
-    def weights_over_lcm(self) -> tuple:
-        """(L, ((element, p * L), ...)) of `_over_lcm`."""
-        lcm, weights = _over_lcm([p for _, p in self.atoms])
-        return lcm, tuple(zip(self.support, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +270,20 @@ class ScalarLaw:
         )
 
     def __getattr__(self, name):
-        # reached only while a law made by `from_weights` has no `probs` yet
-        if name != "probs":
+        # reached only for what a law makes on first read and then keeps in
+        # its __dict__: the Fraction `probs` of a law made by `from_weights`,
+        # the tail probabilities `_suffix` (P(X > values[i - 1]) at i, from
+        # `_tails`) and `is_rational`
+        if name == "probs":
+            value = tuple(Fraction(w, self._denominator) for w in self._weights)
+        elif name == "_suffix":
+            value = (*(Fraction(t, self._denominator) for t in self._tails[:-1]), 0)
+        elif name == "is_rational":
+            value = self._exact and all(is_rational(v) for v in self.values)
+        else:
             raise AttributeError(name)
-        self.__dict__["probs"] = tuple(Fraction(w, self._denominator) for w in self._weights)
-        return self.probs
-
-    @cached_property
-    def _suffix(self) -> tuple:
-        """P(X > values[i - 1]) at i, from `_tails`."""
-        return (*(Fraction(t, self._denominator) for t in self._tails[:-1]), 0)
+        self.__dict__[name] = value
+        return value
 
     @staticmethod
     def from_pairs(
@@ -300,10 +361,6 @@ class ScalarLaw:
     @staticmethod
     def point_mass(value) -> "ScalarLaw":
         return ScalarLaw((value,), (Fraction(1),))
-
-    @cached_property
-    def is_rational(self) -> bool:
-        return self._exact and all(is_rational(v) for v in self.values)
 
     @property
     def is_empirical(self) -> bool:
@@ -427,10 +484,10 @@ class IndependentSequence:
         for var in variables:
             if not isinstance(var, DiscreteDistribution):
                 raise TypeError(f"variable {var!r} is not a DiscreteDistribution")
-            for e, _ in var.atoms:
+            for e in var.support:
                 instance.require_element(e)
         if z0 is None or z1 is None:
-            default = instance.identity if instance.has_identity else variables[0].atoms[0][0]
+            default = instance.identity if instance.has_identity else variables[0].support[0]
             z0 = default if z0 is None else z0
             z1 = default if z1 is None else z1
         instance.require_element(z0)
@@ -443,7 +500,7 @@ class IndependentSequence:
 
     @property
     def outcome_count(self) -> int:
-        return math.prod(len(v.atoms) for v in self.variables)
+        return math.prod(len(v.support) for v in self.variables)
 
     def with_basepoints(self, z0, z1) -> "IndependentSequence":
         return IndependentSequence.build(
@@ -547,19 +604,20 @@ def _statistic(seq: IndependentSequence, statistic) -> tuple:
 
 
 def _exact_weights(variables) -> tuple:
-    """(start weight, weighted atoms of each variable, denominator) for the
-    exact push-forward.
+    """(start weight, (support, weights) of each variable, denominator) for
+    the exact push-forward.
 
-    When every probability is rational, a variable's atoms carry the integer
-    weights p * L of `DiscreteDistribution.weights_over_lcm`, so the weights
-    stay integers over the denominator D, the product of the L's.
+    When every probability is rational, a variable's weights are the
+    integers p * L of `DiscreteDistribution.weights_over_lcm`, so the
+    weights stay integers over the denominator D, the product of the L's.
     Otherwise the weights are the products of the probabilities themselves
     and the denominator is None.
     """
     if not all(var.is_rational for var in variables):
-        return Fraction(1), [var.atoms for var in variables], None
-    lcms, columns = zip(*(var.weights_over_lcm for var in variables))
-    return 1, list(columns), math.prod(lcms)
+        columns = [(var.support, [p for _, p in var.atoms]) for var in variables]
+        return Fraction(1), columns, None
+    lcms, weights = zip(*(var.weights_over_lcm for var in variables))
+    return 1, [(var.support, w) for var, w in zip(variables, weights)], math.prod(lcms)
 
 
 def _over_lcm(probs) -> tuple:
@@ -569,27 +627,35 @@ def _over_lcm(probs) -> tuple:
     return lcm, [p.numerator * (lcm // p.denominator) for p in probs]
 
 
-def _advance(states: dict, atoms, step, index: int, cap: int) -> dict:
+def _advance(measure: tuple, column: tuple, step, index: int, cap: int) -> tuple:
     """Push a measure on states through step `index` (1-based), whose
-    (element, weight) pairs are `atoms`; equal states merge and their
-    weights add.
+    elements and weights are `column`; equal states merge and their weights
+    add.
 
-    The cap bounds the (state, atom) pairs of one layer and is checked before
+    A measure is (states, masses): the distinct states, in the order they
+    were first reached, and their weights.  The states come out as a dict
+    from each state to its position, so each next state is hashed once, by
+    `setdefault`; a Fraction or a tuple of Fractions hashes in Python.  The
+    cap bounds the (state, atom) pairs of one layer and is checked before
     the layer is expanded.
     """
-    if len(states) * len(atoms) > cap:
+    states, masses = measure
+    support, weights = column
+    if len(states) * len(support) > cap:
         raise EnumerationCapError(
             f"{len(states)} states reached before step {index}; its "
-            f"{len(atoms)} atoms would exceed the state cap {cap}"
+            f"{len(support)} atoms would exceed the state cap {cap}"
         )
-    out: dict = {}
-    for state, weight in states.items():
-        for x, prob in atoms:
-            nxt = step(state, x)
-            mass = weight * prob
-            seen = out.get(nxt)
-            out[nxt] = mass if seen is None else seen + mass
-    return out
+    ids: dict = {}
+    out: list = []
+    for state, mass in zip(states, masses):
+        for x, w in zip(support, weights):
+            i = ids.setdefault(step(state, x), len(out))
+            if i == len(out):
+                out.append(mass * w)
+            else:
+                out[i] += mass * w
+    return ids, out
 
 
 def exact_functional_law(
@@ -608,11 +674,11 @@ def _push_forward_law(statistic: tuple, variables, cap: int) -> ScalarLaw:
     """Law of a (start, step, value) statistic over the discrete `variables`."""
     start, step, value = statistic
     one, columns, denominator = _exact_weights(variables)
-    states = {start: one}
-    for index, atoms in enumerate(columns, 1):
-        states = _advance(states, atoms, step, index, cap)
+    measure = (start,), [one]
+    for index, column in enumerate(columns, 1):
+        measure = _advance(measure, column, step, index, cap)
     merged: dict = {}
-    for state, weight in states.items():
+    for state, weight in zip(*measure):
         v = value(state)
         merged[v] = merged.get(v, 0) + weight
     if denominator is None:
@@ -681,9 +747,14 @@ def monte_carlo_law(
     columns = []
     previous = None
     for var in seq.variables:
-        cum = np.cumsum([float(p) for _, p in var.atoms])
+        if var.is_rational:
+            # w / L is float(Fraction(w, L)), rounded once
+            lcm, weights = var.weights_over_lcm
+            cum = np.cumsum([w / lcm for w in weights])
+        else:
+            cum = np.cumsum([float(p) for _, p in var.atoms])
         cum[-1] = 1.0
-        elements = [e for e, _ in var.atoms]
+        elements = var.support
         same = elements == previous and repr(elements) == repr(previous)
         columns.append((cum, elements, same))
         previous = elements

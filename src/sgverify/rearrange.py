@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .laws import DiscreteDistribution, IndependentSequence, ScalarLaw, is_rational, tail_level
-from .reports import InequalityReport, make_report
 from .semigroups import MetricSemigroup
 
 
@@ -199,122 +197,3 @@ def truncate_upper(
         mag = instance.distance(e, x)
         pairs.append((e if mag <= cutoff else x, prob))
     return DiscreteDistribution.of(pairs, merge=True)
-
-
-# ---------------------------------------------------------------------------
-# tail-comparison transfer to rearrangements
-
-
-@dataclass(frozen=True)
-class TransferTuple:
-    """One hypothesis clause f(P(X > alpha*x)) <= beta * P(Y > gamma*x)^delta."""
-
-    alpha: object = 1
-    beta: object = 1
-    gamma: object = 1
-    delta: object = 1
-    fn: Callable | None = None  # nondecreasing; identity when None
-
-    def apply_fn(self, value):
-        return value if self.fn is None else self.fn(value)
-
-
-def _ratio(v, scale):
-    if is_rational(v) and is_rational(scale):
-        return Fraction(v) / Fraction(scale)
-    return float(v) / float(scale)
-
-
-def _hypothesis_grid(tuples, law_x: ScalarLaw, law_y: ScalarLaw) -> list:
-    """Positive probe points covering every constancy interval of the clause
-    tails, plus a point beyond the last breakpoint."""
-    breaks = set()
-    for tup in tuples:
-        for v in law_x.values:
-            if v > 0:
-                breaks.add(_ratio(v, tup.alpha))
-        for v in law_y.values:
-            if v > 0:
-                breaks.add(_ratio(v, tup.gamma))
-    points = sorted(breaks)
-    grid = []
-    if points:
-        grid.append(points[0] / 2)
-        grid.extend(points)
-        for a, b in zip(points, points[1:]):
-            grid.append((a + b) / 2)
-        grid.append(points[-1] * 2)
-    else:
-        grid.append(1)
-    return sorted(set(grid))
-
-
-def check_rearrangement_transfer(
-    tuples: Iterable[TransferTuple],
-    law_x: ScalarLaw,
-    law_y: ScalarLaw,
-    t,
-    grid: Sequence | None = None,
-) -> InequalityReport:
-    """Verify the tail-to-rearrangement transfer bound.
-
-    First checks the hypothesis clauses on a grid of x values (one clause must
-    hold at each x; if every clause holds at every x the sharper min-form
-    bound is checked as well).  When the hypothesis fails on the grid the
-    conclusion is reported as untested.
-    """
-    tuples = list(tuples)
-    if not tuples:
-        raise ValueError("need at least one transfer tuple")
-    probe = list(grid) if grid is not None else _hypothesis_grid(tuples, law_x, law_y)
-    exists_ok = True
-    all_ok = True
-    for x in probe:
-        clause = [
-            tup.apply_fn(law_x.tail(tup.alpha * x))
-            <= tup.beta * law_y.tail(tup.gamma * x) ** _as_exponent(tup.delta)
-            for tup in tuples
-        ]
-        if not any(clause):
-            exists_ok = False
-        if not all(clause):
-            all_ok = False
-    params = {
-        "t": t,
-        "tuples": [
-            {"alpha": tp.alpha, "beta": tp.beta, "gamma": tp.gamma, "delta": tp.delta}
-            for tp in tuples
-        ],
-        "grid_size": len(probe),
-    }
-    if not exists_ok:
-        return make_report(
-            "rearrangement-transfer",
-            params,
-            lhs=rearrangement_at(law_x, t),
-            rhs=math.inf,
-            degenerate="hypothesis-failed-untested",
-            note="hypothesis clauses fail on the probe grid; conclusion untested",
-        )
-    lhs = rearrangement_at(law_x, t)
-    bounds = []
-    for tup in tuples:
-        scaled = tup.apply_fn(t) / tup.beta
-        exponent = _as_exponent(tup.delta)
-        arg = scaled if exponent == 1 else float(scaled) ** (1.0 / float(exponent))
-        bounds.append(_ratio(tup.alpha, tup.gamma) * rearrangement_at(law_y, min(arg, 1)))
-    rhs = min(bounds) if all_ok else max(bounds)
-    return make_report(
-        "rearrangement-transfer",
-        params,
-        lhs,
-        rhs,
-        components={"bound_form": "min" if all_ok else "max", "bounds": bounds},
-    )
-
-
-def _as_exponent(delta):
-    if isinstance(delta, int) and not isinstance(delta, bool):
-        return delta
-    f = float(delta)
-    return int(f) if f.is_integer() else f

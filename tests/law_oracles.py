@@ -11,23 +11,35 @@ are the quantile layer and the moments on Fraction probabilities and tail
 sums, compared with the argument as it is, which the integer weights and
 tails replaced.
 
+`FractionDistribution` is a step distribution as it was built from Fraction
+probabilities, summed and compared as Fractions, and `fraction_corpus_steps`
+the corpus's step distributions built that way from the same draws: the path
+that integer weights replaced.
+
 `path_trace` gives the four path statistics along one outcome, from the same
 transitions as the engines; `tail_sum`, `rearrangement_grid_law` and
 `tail_sup_distance` are the summed magnitude tails at one point, a grid
 sampling of a decreasing rearrangement and the sup distance between two
 tail functions.
+
+`check_rearrangement_transfer` checks the transfer of tail comparisons
+f(P(X > alpha x)) <= beta P(Y > gamma x)^delta to the rearrangements.
 """
 
 import itertools
 import math
+import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
-from sgverify import EnumerationCapError, ScalarLaw, rearrangement_at
+from sgverify import EnumerationCapError, ScalarLaw, derive_seed, parse_instance, rearrangement_at
+from sgverify.corpus import _distinct_elements
 from sgverify.laws import (
     DEFAULT_ENUMERATION_CAP,
+    MASS_TOL,
     STEP_PEAK,
     WALK_PEAK,
     _advance,
@@ -36,6 +48,7 @@ from sgverify.laws import (
     _statistic,
     is_rational,
 )
+from sgverify.reports import InequalityReport, make_report
 
 
 def enumerate_outcomes(seq, cap=DEFAULT_ENUMERATION_CAP):
@@ -77,6 +90,63 @@ def product_step_peak_law(seq):
     return ScalarLaw.from_pairs(pairs)
 
 
+@dataclass(frozen=True)
+class FractionDistribution:
+    """((element, probability), ...), checked as Fractions."""
+
+    atoms: tuple
+
+    @staticmethod
+    def of(pairs, merge=False):
+        merged = {}
+        for element, prob in pairs:
+            if not prob >= 0:  # also false for NaN
+                raise ValueError(f"probability {prob} for atom {element!r} is not >= 0")
+            if element in merged:
+                if not merge:
+                    raise ValueError(f"duplicate atom {element!r}")
+                merged[element] = merged[element] + prob
+            else:
+                merged[element] = prob
+        atoms = tuple((e, p) for e, p in merged.items() if p > 0)
+        if not atoms:
+            raise ValueError("distribution needs at least one atom")
+        total = sum(p for _, p in atoms)
+        if all(is_rational(p) for _, p in atoms):
+            if total != 1:
+                raise ValueError(f"probabilities sum to {total}, not 1")
+        elif abs(total - 1) > MASS_TOL:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+        return FractionDistribution(atoms)
+
+    @staticmethod
+    def from_weights(elements, weights):
+        """The pairs (element, weight / total) of the weights a corpus draws."""
+        total = sum(weights)
+        return FractionDistribution.of([(e, Fraction(w, total)) for e, w in zip(elements, weights)])
+
+    @property
+    def weights_over_lcm(self):
+        """(L, (p * L, ...)), L the lcm of the probabilities' denominators."""
+        lcm = math.lcm(*(p.denominator for _, p in self.atoms))
+        return lcm, tuple(p.numerator * (lcm // p.denominator) for _, p in self.atoms)
+
+
+def fraction_corpus_steps(spec):
+    """Each corpus item's step distributions, as `FractionDistribution`s
+    from the draws that `corpus.generate_sequence` makes."""
+    instances = [parse_instance(s) for s in spec.instances]
+    for index in range(spec.count):
+        inst = instances[index % len(instances)]
+        rng = random.Random(derive_seed(spec.seed, "corpus", index))
+        steps = []
+        for _ in range(rng.randint(1, spec.max_len)):
+            elements = _distinct_elements(inst, rng, rng.randint(1, spec.max_support))
+            weights = [rng.randint(1, 9) for _ in elements]
+            steps.append(FractionDistribution.from_weights(elements, weights))
+        yield steps
+
+
 def pair_pass_stay(seq, m, b, cap=DEFAULT_ENUMERATION_CAP):
     """[P(d(s_k, s_n) <= b) for k = m..n]: at each window index k the law of
     s_k is pushed forward as pairs (s_k, s_j) from j = k to n, with the
@@ -88,16 +158,16 @@ def pair_pass_stay(seq, m, b, cap=DEFAULT_ENUMERATION_CAP):
         return state[0], product(state[1], x)
 
     one, columns, denominator = _exact_weights(seq.variables)
-    states = {start: one}
+    states, masses = (start,), [one]
     stay = []
-    for k, atoms in enumerate(columns, 1):
-        states = _advance(states, atoms, product, k, cap)
+    for k, column in enumerate(columns, 1):
+        states, masses = _advance((states, masses), column, product, k, cap)
         if k < m:
             continue
-        pairs = {(s, s): w for s, w in states.items()}
+        pairs = [(s, s) for s in states], masses
         for j in range(k, seq.n):
             pairs = _advance(pairs, columns[j], pair_step, j + 1, cap)
-        total = sum(w for (s_k, s_n), w in pairs.items() if inst.distance(s_k, s_n) <= b)
+        total = sum(w for (s_k, s_n), w in zip(*pairs) if inst.distance(s_k, s_n) <= b)
         stay.append(Fraction(total, denominator) if denominator and total else total)
     return stay
 
@@ -235,3 +305,121 @@ def tail_sup_distance(a, b):
     for x in sorted(set(a.values) | set(b.values)):
         best = max(best, abs(float(a.tail(x)) - float(b.tail(x))))
     return best
+
+
+# tail-comparison transfer to rearrangements
+
+
+@dataclass(frozen=True)
+class TransferTuple:
+    """One hypothesis clause f(P(X > alpha*x)) <= beta * P(Y > gamma*x)^delta."""
+
+    alpha: object = 1
+    beta: object = 1
+    gamma: object = 1
+    delta: object = 1
+    fn: Callable | None = None  # nondecreasing; identity when None
+
+    def apply_fn(self, value):
+        return value if self.fn is None else self.fn(value)
+
+
+def _ratio(v, scale):
+    if is_rational(v) and is_rational(scale):
+        return Fraction(v) / Fraction(scale)
+    return float(v) / float(scale)
+
+
+def _hypothesis_grid(tuples, law_x: ScalarLaw, law_y: ScalarLaw) -> list:
+    """Positive probe points covering every constancy interval of the clause
+    tails, plus a point beyond the last breakpoint."""
+    breaks = set()
+    for tup in tuples:
+        for v in law_x.values:
+            if v > 0:
+                breaks.add(_ratio(v, tup.alpha))
+        for v in law_y.values:
+            if v > 0:
+                breaks.add(_ratio(v, tup.gamma))
+    points = sorted(breaks)
+    grid = []
+    if points:
+        grid.append(points[0] / 2)
+        grid.extend(points)
+        for a, b in zip(points, points[1:]):
+            grid.append((a + b) / 2)
+        grid.append(points[-1] * 2)
+    else:
+        grid.append(1)
+    return sorted(set(grid))
+
+
+def check_rearrangement_transfer(
+    tuples: Iterable[TransferTuple],
+    law_x: ScalarLaw,
+    law_y: ScalarLaw,
+    t,
+    grid: Sequence | None = None,
+) -> InequalityReport:
+    """Verify the tail-to-rearrangement transfer bound.
+
+    First checks the hypothesis clauses on a grid of x values (one clause must
+    hold at each x; if every clause holds at every x the sharper min-form
+    bound is checked as well).  When the hypothesis fails on the grid the
+    conclusion is reported as untested.
+    """
+    tuples = list(tuples)
+    if not tuples:
+        raise ValueError("need at least one transfer tuple")
+    probe = list(grid) if grid is not None else _hypothesis_grid(tuples, law_x, law_y)
+    exists_ok = True
+    all_ok = True
+    for x in probe:
+        clause = [
+            tup.apply_fn(law_x.tail(tup.alpha * x))
+            <= tup.beta * law_y.tail(tup.gamma * x) ** _as_exponent(tup.delta)
+            for tup in tuples
+        ]
+        if not any(clause):
+            exists_ok = False
+        if not all(clause):
+            all_ok = False
+    params = {
+        "t": t,
+        "tuples": [
+            {"alpha": tp.alpha, "beta": tp.beta, "gamma": tp.gamma, "delta": tp.delta}
+            for tp in tuples
+        ],
+        "grid_size": len(probe),
+    }
+    if not exists_ok:
+        return make_report(
+            "rearrangement-transfer",
+            params,
+            lhs=rearrangement_at(law_x, t),
+            rhs=math.inf,
+            degenerate="hypothesis-failed-untested",
+            note="hypothesis clauses fail on the probe grid; conclusion untested",
+        )
+    lhs = rearrangement_at(law_x, t)
+    bounds = []
+    for tup in tuples:
+        scaled = tup.apply_fn(t) / tup.beta
+        exponent = _as_exponent(tup.delta)
+        arg = scaled if exponent == 1 else float(scaled) ** (1.0 / float(exponent))
+        bounds.append(_ratio(tup.alpha, tup.gamma) * rearrangement_at(law_y, min(arg, 1)))
+    rhs = min(bounds) if all_ok else max(bounds)
+    return make_report(
+        "rearrangement-transfer",
+        params,
+        lhs,
+        rhs,
+        components={"bound_form": "min" if all_ok else "max", "bounds": bounds},
+    )
+
+
+def _as_exponent(delta):
+    if isinstance(delta, int) and not isinstance(delta, bool):
+        return delta
+    f = float(delta)
+    return int(f) if f.is_integer() else f

@@ -1,9 +1,11 @@
+import copy
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from sgverify import ScalarLaw, canonical_json, sequence_to_config
+from sgverify import DiscreteDistribution, ScalarLaw, canonical_json, sequence_to_config
 from sgverify.corpus import (
     CorpusSpec,
     generate_corpus,
@@ -11,7 +13,17 @@ from sgverify.corpus import (
     threshold_candidates,
 )
 
+from law_oracles import fraction_corpus_steps
+
 F = Fraction
+
+# SHA-256 of the canonical JSON of the configs of the first 3,000 items of
+# the default corpus, recorded at commit d1b4d9b, whose corpus built its
+# steps from Fraction probabilities.
+CORPUS_DIGESTS = {
+    1: "bd4e2d37c9ec0ed8f19cce64bb3c49b703ea86ac23142bd2704684a8f52bbef6",
+    9973: "c6176a7b1f1d4a697d02f79197cd9d84cea5c3ed2e612f6603b9af8a8e5b5bcc",
+}
 
 
 def test_same_seed_gives_byte_identical_corpora():
@@ -59,6 +71,28 @@ def test_corpus_probabilities_are_exact():
         for var in seq.variables:
             assert sum(p for _, p in var.atoms) == 1
             assert all(isinstance(p, F) for _, p in var.atoms)
+
+
+@pytest.mark.parametrize("seed", sorted(CORPUS_DIGESTS))
+def test_corpus_configs_keep_their_bytes(seed):
+    configs = [sequence_to_config(s) for s in generate_corpus(CorpusSpec(count=3000, seed=seed))]
+    digest = hashlib.sha256(canonical_json(configs).encode("utf-8")).hexdigest()
+    assert digest == CORPUS_DIGESTS[seed]
+
+
+def test_corpus_steps_equal_the_fraction_path_on_default_corpus(fresh_corpus):
+    # copies, so that the atoms read here are not kept by the session corpus
+    spec = CorpusSpec(count=10_000, seed=1)
+    items = 0
+    for seq, steps in zip(fresh_corpus, fraction_corpus_steps(spec)):
+        assert len(steps) == seq.n
+        for var, old in zip(seq.variables, steps):
+            dist = copy.copy(var)
+            assert dist.weights_over_lcm == old.weights_over_lcm
+            assert dist.atoms == old.atoms and repr(dist.atoms) == repr(old.atoms)
+            assert dist == DiscreteDistribution.of(old.atoms)
+        items += 1
+    assert items == spec.count
 
 
 def test_spec_config_round_trip():

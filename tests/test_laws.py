@@ -24,7 +24,12 @@ from sgverify import (
 from sgverify.corpus import CorpusSpec, generate_corpus
 from sgverify.levy import UniformBoxSampler
 
-from law_oracles import enumerate_outcomes, path_trace, product_step_peak_law
+from law_oracles import (
+    FractionDistribution,
+    enumerate_outcomes,
+    path_trace,
+    product_step_peak_law,
+)
 
 F = Fraction
 
@@ -335,6 +340,104 @@ def test_from_weights_rejects_bad_input():
         ScalarLaw.from_weights([], [], 1)
     with pytest.raises(ValueError, match="positive"):
         ScalarLaw.from_counts({1: 3, 2: -1}, 2, seed=0)
+
+
+def built(build):
+    """What `build()` gives: (repr of the atoms, weights over the lcm or None
+    for float probabilities), or the type and message of what it raises.
+
+    A `DiscreteDistribution` is read in ints first, and its support and
+    rationality are checked against its atoms."""
+    try:
+        dist = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    rational = all(isinstance(p, (int, F)) and not isinstance(p, bool) for _, p in dist.atoms)
+    if isinstance(dist, DiscreteDistribution):
+        weights = dist.weights_over_lcm if dist.is_rational else None
+        assert dist.is_rational == rational
+        assert dist.support == tuple(e for e, _ in dist.atoms)
+        assert dist == DiscreteDistribution(dist.atoms)
+    else:
+        weights = dist.weights_over_lcm if rational else None
+    return repr(dist.atoms), weights
+
+
+ELEMENTS = st.one_of(st.integers(-2, 3), st.integers(-2, 3).map(F), st.just(True))
+WEIGHTS = st.one_of(st.integers(-3, 9), st.integers(1, 10**30), st.booleans(), st.floats(-1, 9))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    pairs=st.one_of(
+        st.lists(st.tuples(ELEMENTS, WEIGHTS), max_size=5),
+        st.lists(
+            st.tuples(ELEMENTS, st.one_of(st.integers(1, 9), st.integers(1, 10**30))),
+            min_size=1,
+            max_size=5,
+            unique_by=lambda pair: pair[0],
+        ),
+    )
+)
+def test_distribution_from_weights_accepts_and_refuses_as_the_fraction_path(pairs):
+    # zero, negative, bool and float weights, repeated elements and empty
+    # input give what Fraction(weight, sum(weights)) probabilities give
+    elements, weights = [e for e, _ in pairs], [w for _, w in pairs]
+    assert built(lambda: DiscreteDistribution.from_weights(elements, weights)) == built(
+        lambda: FractionDistribution.from_weights(elements, weights)
+    )
+
+
+def probabilities_of(pairs):
+    """Positive int weights as Fraction probabilities, rounded to floats
+    when the first weight is odd."""
+    total = sum(w for _, w in pairs) or 1
+    if pairs and pairs[0][1] % 2:
+        return [(e, w / total) for e, w in pairs]
+    return [(e, F(w, total)) for e, w in pairs]
+
+
+PROBABILITIES = st.one_of(
+    st.fractions(-1, 2, max_denominator=12),
+    st.integers(-1, 2),
+    st.booleans(),
+    st.floats(-0.5, 1.5),
+    st.just(math.nan),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    pairs=st.one_of(
+        st.lists(st.tuples(ELEMENTS, PROBABILITIES), max_size=5),
+        st.lists(st.tuples(ELEMENTS, st.integers(0, 9)), max_size=5).map(probabilities_of),
+    ),
+    merge=st.booleans(),
+)
+def test_distribution_of_accepts_and_refuses_as_the_fraction_path(pairs, merge):
+    assert built(lambda: DiscreteDistribution.of(pairs, merge=merge)) == built(
+        lambda: FractionDistribution.of(pairs, merge=merge)
+    )
+
+
+def test_distribution_from_weights_keeps_reduced_int_weights():
+    dist = DiscreteDistribution.from_weights(["a", "b", "c"], [2, 4, 6])
+    assert dist.support == ("a", "b", "c") and dist.weights_over_lcm == (6, (1, 2, 3))
+    assert "atoms" not in dist.__dict__
+    assert dist.atoms == (("a", F(1, 6)), ("b", F(1, 3)), ("c", F(1, 2)))
+    assert dist == DiscreteDistribution.of(dist.atoms)
+    assert hash(dist) == hash(DiscreteDistribution.of(dist.atoms))
+    with pytest.raises(ValueError, match="2 elements but 1 weights"):
+        DiscreteDistribution.from_weights([1, 2], [1])
+
+
+def test_engines_read_corpus_steps_without_making_their_atoms():
+    corpus = generate_corpus(CorpusSpec(count=100, seed=3))
+    for seq in corpus:
+        assert seq.outcome_count == math.prod(len(var.support) for var in seq.variables)
+        seq.walk_peak_law, seq.step_peak_law, seq.end_distance_law, seq.magnitude_laws
+        monte_carlo_law(seq, trials=64, seed=1)
+    assert not any("atoms" in var.__dict__ for seq in corpus for var in seq.variables)
 
 
 def test_sequence_config_round_trip():

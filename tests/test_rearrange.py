@@ -7,8 +7,6 @@ from sgverify import (
     DiscreteDistribution,
     IntegerAdditive,
     ScalarLaw,
-    TransferTuple,
-    check_rearrangement_transfer,
     excess_tail_moment,
     parse_instance,
     rearrangement_at,
@@ -19,7 +17,13 @@ from sgverify import (
 )
 from sgverify.corpus import CorpusSpec, generate_corpus
 
-from law_oracles import rearrangement_grid_law, tail_sum, tail_sup_distance
+from law_oracles import (
+    TransferTuple,
+    check_rearrangement_transfer,
+    rearrangement_grid_law,
+    tail_sum,
+    tail_sup_distance,
+)
 
 F = Fraction
 
