@@ -11,9 +11,11 @@ sweeps over the default corpus and over files written by `sgverify corpus`,
 but not over hand-edited corpus files.  CSV outputs and the `levy
 --trace-csv` side file are not replay inputs.
 
-A sweep streams its corpus one item at a time, and reads a corpus file
-once; its JSON estimate and its CSV rows are both built from the per-item
-reports of `inequalities`, and CSV rows are written as they are made.
+`check` and `sweep` read each inequality, with its flags, its default points
+and its sweep, from the table `inequalities.INEQUALITIES`.  A sweep streams
+its corpus one item at a time, and reads a corpus file once; its JSON
+estimate and its CSV rows are both built from the per-item reports of
+`inequalities`, and CSV rows are written as they are made.
 
 Exit codes: 0 all checks pass, 1 a non-degenerate check failed or axiom
 violations were found, 2 usage or configuration errors, 3 a resource limit
@@ -27,34 +29,16 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from .axioms import verify_axioms
 from .corpus import CorpusSpec, iter_corpus
-from .inequalities import (
-    HJParameters,
-    check_hj,
-    check_hj_simple,
-    check_mogulskii,
-    check_moment_growth,
-    check_moment_vs_quantile,
-    check_spike_moment_bound,
-    check_step_moment_sandwich,
-    check_step_quantile_chain,
-    check_truncated_quantile_shift,
-    check_walk_moment_bound,
-    check_walk_quantile_ratio,
-    estimate_quantile_ratio_constant,
-    moment_growth_reports,
-    moment_vs_quantile_reports,
-    quantile_ratio_reports,
-    sweep_moment_growth,
-    sweep_moment_vs_quantile,
-)
+from .inequalities import FLAG_DEFAULTS, INEQUALITIES, Inequality, suite_reports
 from .laws import EnumerationCapError, sequence_from_config, sequence_to_config
 from .levy import WalkConfig, equivalence_experiment, simulate_walk, traces_to_csv
-from .reports import InequalityReport, RatioReport, canonical_json, reports_to_csv, to_jsonable
+from .reports import InequalityReport, canonical_json, reports_to_csv, to_jsonable
 from .semigroups import InstanceSpecError, is_integer, parse_instance
 
 
@@ -75,32 +59,18 @@ def _finite(text) -> float:
     return value
 
 
-# `check` flags: name -> (type, default, help).  The table adds them to the
-# parser, echoes the given ones into the output config, and parses them back
-# from that config.
-CHECK_FLAGS = {
-    "k": (int, None, "number of blocks"),
-    "n1": (int, None, None),
-    "t1": (_rational, None, None),
-    "n2": (int, None, None),
-    "t2": (_rational, None, None),
-    "n3": (int, None, None),
-    "t3": (_rational, None, None),
-    "s": (_rational, None, "shift (hj) or s (quantile-ratio)"),
-    "t": (_rational, None, None),
-    "p": (_rational, None, None),
-    "q": (_rational, None, None),
-    "p0": (_rational, Fraction(1), None),
-    "eps": (_finite, math.log(16), None),
-    "c": (_finite, None, None),
-    "cprime": (_finite, None, None),
-    "eta": (_finite, None, None),
-    "r": (_rational, None, None),
-    "m": (int, None, None),
-    "a": (_rational, None, None),
-    "b": (_rational, None, None),
-    "repeats": (int, None, "K for hj-simple"),
-}
+# The argument type of each kind of check flag the table of inequalities names.
+FLAG_TYPES = {int: int, Fraction: _rational, float: _finite}
+
+
+def _check_flags() -> dict:
+    """Every `check` flag, name -> kind: those the rows of the table read."""
+    return {name: kind for row in INEQUALITIES.values() for name, kind in row.flags.items()}
+
+
+def _sweeps() -> dict:
+    """Every `sweep --constant`, name -> its `Sweep` in the table."""
+    return {row.sweep.constant: row.sweep for row in INEQUALITIES.values() if row.sweep}
 
 
 @functools.cache
@@ -122,25 +92,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     ck = sub.add_parser("check", help="evaluate inequalities on a sequence config")
     ck.add_argument("sequence", help="path to a sequence config JSON file")
-    ck.add_argument("--ineq", default="all", help="checker name or 'all'")
+    ck.add_argument("--ineq", default="all", help=f"one of {', '.join(INEQUALITIES)}, or 'all'")
     ck.add_argument(
         "--grid", choices=("default",), default="default", help="parameter grid for --ineq all"
     )
     ck.add_argument("--engine", choices=("exact", "mc"), default=None)
     ck.add_argument("--trials", type=int, default=None)
     ck.add_argument("--seed", type=int, default=None)
-    for name, (kind, default, help_text) in CHECK_FLAGS.items():
-        ck.add_argument(f"--{name}", type=kind, default=default, help=help_text)
+    for name, kind in _check_flags().items():
+        ck.add_argument(f"--{name}", type=FLAG_TYPES[kind], default=FLAG_DEFAULTS.get(name))
     ck.add_argument("--out", default=None)
     ck.add_argument("--format", choices=("json", "csv"), default="json")
 
     sw = sub.add_parser("sweep", help="estimate a universal constant over a corpus")
-    sw.add_argument("--constant", choices=("c", "c1", "approx-ratios"), default="c")
+    sw.add_argument("--constant", choices=tuple(_sweeps()), default="c")
     sw.add_argument("--corpus", default="default", help="'default' or a corpus JSON file")
     sw.add_argument("--count", type=int, default=None, help="override corpus size")
     sw.add_argument("--seed", type=int, default=1)
-    sw.add_argument("--p0", type=_rational, default=Fraction(1))
-    sw.add_argument("--eps", type=_finite, default=math.log(16))
+    sw.add_argument("--p0", type=_rational, default=FLAG_DEFAULTS["p0"])
+    sw.add_argument("--eps", type=_finite, default=FLAG_DEFAULTS["eps"])
     sw.add_argument("--out", default=None)
     sw.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -239,100 +209,8 @@ def run_axioms(config: dict, args):
 # inequality checks
 
 
-def _hj_params(flags: dict) -> HJParameters:
-    sizes = [flags[n] for n in ("n1", "n2", "n3") if n in flags]
-    thresholds = [flags[t] for t in ("t1", "t2", "t3") if t in flags]
-    if "k" in flags and flags["k"] != len(sizes):
-        raise ValueError(f"--k {flags['k']} does not match {len(sizes)} block sizes")
-    if not sizes or len(sizes) != len(thresholds):
-        raise ValueError("hj needs matching --n1..--n3 and --t1..--t3 flags")
-    return HJParameters(tuple(sizes), tuple(thresholds), flags.get("s", Fraction(0)))
-
-
-def _exponent(value):
-    """Moment orders: keep integers as ints so exact arithmetic applies."""
-    frac = Fraction(value)
-    if frac.denominator == 1:
-        return int(frac)
-    return float(frac)
-
-
-def _p(flags: dict):
-    """The moment order --p, 1 when it is not given."""
-    return _exponent(flags.get("p", 1))
-
-
-def _bare(rep: RatioReport, params: dict) -> RatioReport:
-    """`rep` with `params` in place of its own, and without components."""
-    return RatioReport(rep.name, params, rep.ratio, degenerate=rep.degenerate)
-
-
-def _moment_growth(seq, f: dict) -> list:
-    """Both growth bounds checked at --c (and --cprime) when c is given, else
-    the constant the first bound needs on `seq` at p0, p, q and eps."""
-    p0, p, q, eps = f["p0"], _exponent(f["p"]), _exponent(f["q"]), f["eps"]
-    if "c" in f:
-        return list(check_moment_growth(seq, p0, p, q, eps, f["c"], f.get("cprime")))
-    (rep,) = moment_growth_reports(seq, p0, eps, [(p, q)])
-    return [_bare(rep, {"p0": p0, "p": f["p"], "q": f["q"], "eps": eps})]
-
-
-def _median(values):
-    return values[(len(values) - 1) // 2]
-
-
-def default_suite(seq) -> list:
-    """One report per checker at canonical parameters derived from the laws."""
-    walk = seq.walk_peak_law
-    step = seq.step_peak_law
-    reports = []
-    t_u = _median(walk.values)
-    s_m = _median(step.values)
-    reports.append(check_hj(seq, HJParameters((2,), (t_u,), s_m)))
-    if seq.n >= 3:
-        reports.append(check_hj(seq, HJParameters((2, 2), (t_u, t_u), s_m)))
-    if t_u > 0:
-        reports.append(check_hj_simple(seq, 1, t_u))
-        reports.append(check_hj_simple(seq, 2, t_u))
-    end_med = _median(seq.end_distance_law.values)
-    reports.extend(check_mogulskii(seq, 1, end_med, end_med))
-    reports.append(check_step_quantile_chain(seq, Fraction(1, 10)))
-    reports.append(check_step_quantile_chain(seq, Fraction(2, 5)))
-    reports.append(check_step_moment_sandwich(seq, Fraction(1, 4), 1))
-    reports.append(check_step_moment_sandwich(seq, Fraction(1, 2), 2))
-    reports.append(check_walk_quantile_ratio(seq, Fraction(1, 10), Fraction(1, 2)))
-    reports.extend(check_moment_vs_quantile(seq, 1))
-    reports.append(check_truncated_quantile_shift(seq, 1))
-    reports.append(check_walk_moment_bound(seq, 1))
-    reports.append(check_walk_moment_bound(seq, 2))
-    reports.append(check_spike_moment_bound(seq, Fraction(9, 10), 1))
-    reports.extend(_moment_growth(seq, {"p0": 1, "p": 1, "q": 2, "eps": math.log(16)}))
-    return reports
-
-
-# --ineq name: (required flags, takes the Monte Carlo engine, call).  A call
-# gets the sequence and the flags, plus engine, trials and seed when the
-# Monte Carlo engine was asked for.
-CHECKERS = {
-    "all": ((), False, lambda seq, f: default_suite(seq)),
-    "hj": ((), True, lambda seq, f, **mc: [check_hj(seq, _hj_params(f), **mc)]),
-    "hj-simple": (("repeats", "t"), True,
-                  lambda seq, f, **mc: [check_hj_simple(seq, f["repeats"], f["t"], **mc)]),
-    "mogulskii": (("m", "a", "b"), False,
-                  lambda seq, f: list(check_mogulskii(seq, f["m"], f["a"], f["b"]))),
-    "quantile-chain": (("t",), False, lambda seq, f: [check_step_quantile_chain(seq, f["t"])]),
-    "moment-sandwich": (("t", "p"), False,
-                        lambda seq, f: [check_step_moment_sandwich(seq, f["t"], _p(f))]),
-    "quantile-ratio": (("t", "s"), False,
-                       lambda seq, f: [check_walk_quantile_ratio(seq, f["t"], f["s"])]),
-    "moment-vs-quantile": ((), False, lambda seq, f: list(check_moment_vs_quantile(seq, _p(f)))),
-    "trunc-quantile": ((), False,
-                       lambda seq, f: [check_truncated_quantile_shift(seq, _p(f), f.get("eta"))]),
-    "walk-moment": ((), False, lambda seq, f: [check_walk_moment_bound(seq, _p(f))]),
-    "spike-moment": (("r",), False,
-                     lambda seq, f: [check_spike_moment_bound(seq, f["r"], _p(f))]),
-    "moment-growth": (("p", "q"), False, _moment_growth),
-}
+# `--ineq all`: every row of the table at its default points; it reads no flag.
+_ALL = Inequality({}, {}, lambda seq, flags: list(suite_reports(seq)), lambda seq: [])
 
 
 def _first_given(*values):
@@ -354,24 +232,25 @@ def check_config(args) -> dict:
         "engine": engine,
         "trials": _first_given(args.trials, seq_config.get("trials"), 100_000) if mc else None,
         "seed": _first_given(args.seed, seq_config.get("seed"), 0) if mc else None,
-        "flags": {k: getattr(args, k) for k in CHECK_FLAGS if getattr(args, k) is not None},
+        "flags": {k: getattr(args, k) for k in _check_flags() if getattr(args, k) is not None},
     }
 
 
 def _parse_flags(given) -> dict:
-    """Each flag of a check config parsed by its `CHECK_FLAGS` type; an int
-    flag must be a JSON integer, and a bad value is named with its flag."""
+    """Each flag of a check config parsed by the kind the table gives it; an
+    int flag must be a JSON integer, and a bad value is named with its flag."""
     if not isinstance(given, dict):
         raise ValueError(f"check 'flags' must be an object, not {given!r}")
+    kinds = _check_flags()
     flags = {}
     for key, value in given.items():
-        if key not in CHECK_FLAGS:
+        if key not in kinds:
             raise ValueError(f"unknown check flag {key!r}")
-        kind = CHECK_FLAGS[key][0]
+        kind = kinds[key]
         try:
             if isinstance(value, bool) or kind is int and not is_integer(value):
                 raise TypeError(f"{value!r} is not {'an integer' if kind is int else 'a number'}")
-            flags[key] = kind(value)
+            flags[key] = FLAG_TYPES[kind](value)
         except (TypeError, ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"check flag {key}={value!r}: {exc}") from exc
     return flags
@@ -379,23 +258,27 @@ def _parse_flags(given) -> dict:
 
 def run_check(config: dict, args):
     name = config["ineq"]
-    if not isinstance(name, str) or name not in CHECKERS:
+    row = _ALL if name == "all" else INEQUALITIES.get(name) if isinstance(name, str) else None
+    if row is None:
         raise ValueError(f"unknown inequality {name!r}")
-    required, takes_mc, call = CHECKERS[name]
     seq = getattr(args, "check_sequence", None)
     if seq is None:
         seq = sequence_from_config(config["sequence"])
     flags = _parse_flags(config["flags"])
-    if any(key not in flags for key in required):
-        raise ValueError(f"{name} needs " + " and ".join(f"--{key}" for key in required))
+    for key in flags:
+        if key not in row.flags and key not in FLAG_DEFAULTS:
+            raise ValueError(f"{name} does not read --{key}")
+    missing = [f"--{key}" for key in row.required if key not in flags]
+    if missing:
+        raise ValueError(f"{name} needs {' and '.join(missing)}")
     if config["engine"] == "exact":
-        reports = call(seq, flags)
-    elif takes_mc:
+        reports = row.reports(seq, flags)
+    elif row.takes_mc:
         if not (is_integer(config["trials"]) and is_integer(config["seed"])):
             raise ValueError(
                 f"trials and seed must be integers, not {config['trials']!r}, {config['seed']!r}"
             )
-        reports = call(
+        reports = row.reports(
             seq, flags, engine=config["engine"], trials=config["trials"], seed=config["seed"]
         )
     else:
@@ -440,33 +323,26 @@ def sweep_config(args) -> dict:
 
 def run_sweep(config: dict, args):
     """One pass over the corpus, which is read one item at a time."""
+    constant, sweeps = config["constant"], _sweeps()
+    if not isinstance(constant, str) or constant not in sweeps:
+        raise ValueError(f"unknown sweep constant {constant!r}")
     sequences = getattr(args, "corpus_sequences", None)
     if sequences is None:
         corpus = iter_corpus(CorpusSpec.from_config(config["corpus"]))
     else:
         corpus = map(sequence_from_config, sequences)
-    constant, seed = config["constant"], config["seed"]
     p0, eps = _rational(config["p0"]), float(config["eps"])
     if getattr(args, "format", "json") == "csv":
         # one row per item and grid point; p0 stays a Fraction here, so a row
         # writes it as a string where the JSON witness writes a number
-        item_reports = {
-            "c": lambda seq: moment_growth_reports(seq, p0, eps),
-            "c1": quantile_ratio_reports,
-            "approx-ratios": moment_vs_quantile_reports,
-        }[constant]
         rows = (
-            _bare(rep, rep.params | {"corpus_index": index})
+            replace(rep, params=rep.params | {"corpus_index": index})
             for index, seq in enumerate(corpus)
-            for rep in item_reports(seq)
+            for rep in sweeps[constant].item_reports(seq, p0, eps)
         )
         return {"results": rows}, 0
-    if constant == "c1":
-        return {"results": estimate_quantile_ratio_constant(corpus, seed=seed)}, 0
-    if constant == "approx-ratios":
-        return {"results": sweep_moment_vs_quantile(corpus, seed=seed)}, 0
-    results = sweep_moment_growth(corpus, p0=_exponent(p0), eps=eps, seed=seed)
-    return {"results": results}, 1 if results["second_bound_violations"] else 0
+    results, violated = sweeps[constant].estimate(corpus, p0, eps, config["seed"])
+    return {"results": results}, 1 if violated else 0
 
 
 # ---------------------------------------------------------------------------

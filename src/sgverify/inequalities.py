@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .laws import (
@@ -82,18 +83,8 @@ class HJParameters:
             raise ValueError("shift must be nonnegative")
 
     @property
-    def k(self) -> int:
-        return len(self.block_sizes)
-
-    @property
     def total_size(self) -> int:
         return sum(self.block_sizes)
-
-    def validate_for(self, n: int):
-        if self.total_size > n + 1:
-            raise ValueError(
-                f"block sizes sum to {self.total_size}, above n+1 = {n + 1}"
-            )
 
     def to_params(self) -> dict:
         return {
@@ -101,10 +92,6 @@ class HJParameters:
             "thresholds": list(self.thresholds),
             "shift": self.shift,
         }
-
-
-def _mc_engine_info(trials: int, seed: int) -> dict:
-    return {"kind": "mc", "trials": trials, "seed": seed}
 
 
 def _peak_laws(seq: IndependentSequence, engine: str, trials: int, seed: int):
@@ -116,7 +103,7 @@ def _peak_laws(seq: IndependentSequence, engine: str, trials: int, seed: int):
         step = monte_carlo_law(
             seq, STEP_PEAK, trials=trials, seed=derive_seed(seed, "step-peak")
         )
-        return walk, step, _mc_engine_info(trials, seed)
+        return walk, step, {"kind": "mc", "trials": trials, "seed": seed}
     raise ValueError(f"unknown engine {engine!r} (use 'exact' or 'mc')")
 
 
@@ -264,7 +251,8 @@ def check_hj(
     (1/n_i!) * (P(peak > t_i)/P(peak <= t_i))^n_i, and the leading factor
     P(peak <= t_1) appears only when block 1 is not tight.
     """
-    params.validate_for(seq.n)
+    if params.total_size > seq.n + 1:
+        raise ValueError(f"block sizes sum to {params.total_size}, above n+1 = {seq.n + 1}")
     walk, step, engine_info = _peak_laws(seq, engine, trials, seed)
     sizes, thresholds = params.block_sizes, params.thresholds
     threshold = (
@@ -292,14 +280,7 @@ def check_hj(
         product = _probability(walk, walk.prob_le(thresholds[0])) * product
 
     if degenerate is not None:
-        return make_report(
-            "hj",
-            report_params,
-            lhs,
-            math.inf,
-            engine=engine_info,
-            degenerate=degenerate,
-        )
+        return make_report("hj", report_params, lhs, math.inf, engine_info, degenerate)
     rhs = _probability(step, step.tail(params.shift)) + product
     return make_report(
         "hj",
@@ -334,14 +315,8 @@ def check_hj_simple(
     lhs = _probability(walk, walk.tail((3 * repeats - 1) * t))
     stay = _probability(walk, walk.prob_le(t))
     if _is_zero(stay):
-        return make_report(
-            "hj-simple",
-            params,
-            lhs,
-            math.inf,
-            engine=engine_info,
-            degenerate=f"zero stay probability at threshold {t}",
-        )
+        degenerate = f"zero stay probability at threshold {t}"
+        return make_report("hj-simple", params, lhs, math.inf, engine_info, degenerate)
     ratio = _probability(walk, walk.tail(t)) / stay
     step_tail = _probability(step, step.tail(t))
     rhs = ratio**repeats * Fraction(1, math.factorial(repeats)) + step_tail
@@ -543,13 +518,8 @@ def check_walk_quantile_ratio(seq: IndependentSequence, t, s) -> RatioReport:
     if denom_sum == 0:
         if peak_t == 0:
             return RatioReport("walk-quantile-ratio", params, 0.0, components)
-        return RatioReport(
-            "walk-quantile-ratio",
-            params,
-            math.inf,
-            components,
-            degenerate="zero denominator with a nonzero quantile",
-        )
+        degenerate = "zero denominator with a nonzero quantile"
+        return RatioReport("walk-quantile-ratio", params, math.inf, components, degenerate)
     numer = float(peak_t) * max(math.log(1 / float(s)), math.log(math.log(4 / float(t))))
     denom = math.log(1 / float(t)) * float(denom_sum)
     return RatioReport("walk-quantile-ratio", params, numer / denom, components)
@@ -870,8 +840,7 @@ def _supremum(name, corpus, item_reports, grid_size, seed, extra_params=None):
     that reached it; the witness params are the report's plus `extra_params`."""
     best = -1.0
     witness: dict = {}
-    skipped = 0
-    size = 0
+    skipped = size = 0
     for index, seq in enumerate(corpus):
         size = index + 1
         for rep in item_reports(seq):
@@ -954,13 +923,10 @@ def sweep_moment_vs_quantile(corpus, p_grid=(1, 2), seed: int | None = None) -> 
     Both ratios stay bounded and positive; the extremes are reported with
     witnesses but no bound is asserted (no numeric constants exist to pin).
     """
-    stats = {
-        "moment-vs-quantile": {"min": math.inf, "max": -math.inf},
-        "moment-vs-quantile-truncated": {"min": math.inf, "max": -math.inf},
-    }
+    names = ("moment-vs-quantile", "moment-vs-quantile-truncated")
+    stats = {name: {"min": math.inf, "max": -math.inf} for name in names}
     witnesses: dict = {}
-    degenerate = 0
-    size = 0
+    degenerate = size = 0
     for index, seq in enumerate(corpus):
         size = index + 1
         for rep in moment_vs_quantile_reports(seq, p_grid):
@@ -985,3 +951,158 @@ def sweep_moment_vs_quantile(corpus, p_grid=(1, 2), seed: int | None = None) -> 
         "seed": seed,
         "skipped_degenerate": degenerate,
     }
+
+
+# ---------------------------------------------------------------------------
+# the table of inequalities: one row per `sgverify check --ineq` name
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """`sgverify sweep --constant <constant>`: `item_reports(seq, p0, eps)`
+    yields one item's reports over the sweep's grid, the rows of a CSV sweep;
+    `estimate(corpus, p0, eps, seed)` returns (JSON results, bound violated)."""
+
+    constant: str
+    item_reports: Callable
+    estimate: Callable
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """One `--ineq` name.  `required` and `optional` map the flags it reads
+    to their kinds: int, Fraction (rational) or float (finite).
+    `reports(seq, flags)` returns its reports, and takes engine, trials and
+    seed too when `takes_mc`; `--ineq all` checks it at each point (a dict of
+    flags) of `defaults(seq)`."""
+
+    required: dict
+    optional: dict
+    reports: Callable
+    defaults: Callable
+    takes_mc: bool = False
+    sweep: Sweep | None = None
+
+    @property
+    def flags(self) -> dict:
+        return self.required | self.optional
+
+
+# Flags that every check config carries, at these values when not given.
+FLAG_DEFAULTS = {"p0": Fraction(1), "eps": math.log(16)}
+
+
+def _exponent(value):
+    """A moment order: integers stay ints, so that exact arithmetic applies."""
+    frac = Fraction(value)
+    return int(frac) if frac.denominator == 1 else float(frac)
+
+
+def _p(flags: dict):
+    """The moment order --p, 1 when it is not given."""
+    return _exponent(flags.get("p", 1))
+
+
+def _median(law: ScalarLaw):
+    return law.values[(len(law.values) - 1) // 2]
+
+
+def _hj_reports(seq, flags: dict, **mc) -> list:
+    """The block bound at blocks --n1/--t1, --n2/--t2, ... with no gap, and
+    the shift --s (0 when not given)."""
+    k = max(i for i in (1, 2, 3) if f"n{i}" in flags or f"t{i}" in flags)
+    missing = [f"--{x}{i}" for i in range(1, k + 1) for x in "nt" if f"{x}{i}" not in flags]
+    if missing:
+        raise ValueError(f"hj needs {' and '.join(missing)} for {k} blocks")
+    if "k" in flags and flags["k"] != k:
+        raise ValueError(f"--k {flags['k']} does not match {k} block sizes")
+    sizes, thresholds = ([flags[f"{x}{i}"] for i in range(1, k + 1)] for x in "nt")
+    params = HJParameters(tuple(sizes), tuple(thresholds), flags.get("s", Fraction(0)))
+    return [check_hj(seq, params, **mc)]
+
+
+def _hj_defaults(seq) -> list:
+    block = {"n1": 2, "t1": _median(seq.walk_peak_law), "s": _median(seq.step_peak_law)}
+    return [block] + ([block | {"n2": 2, "t2": block["t1"]}] if seq.n >= 3 else [])
+
+
+def _moment_growth_reports(seq, flags: dict) -> list:
+    """Both growth bounds at --c (and --cprime) when --c is given, else the
+    constant the first bound requires at p0, p, q and eps."""
+    p0, p, q, eps = flags["p0"], _exponent(flags["p"]), _exponent(flags["q"]), flags["eps"]
+    if "c" in flags:
+        return list(check_moment_growth(seq, p0, p, q, eps, flags["c"], flags.get("cprime")))
+    if "cprime" in flags:
+        raise ValueError("--cprime needs --c")
+    (rep,) = moment_growth_reports(seq, p0, eps, [(p, q)])
+    params = {"p0": p0, "p": flags["p"], "q": flags["q"], "eps": eps}
+    return [replace(rep, params=params, components={})]
+
+
+def _sweep_c(corpus, p0, eps, seed) -> tuple:
+    results = sweep_moment_growth(corpus, p0=_exponent(p0), eps=eps, seed=seed)
+    return results, results["second_bound_violations"] > 0
+
+
+# `--ineq all` runs the rows in this order.  A row calls its checkers by
+# their names in this module, so that a wrapper set there sees the calls.
+INEQUALITIES = {
+    "hj": Inequality(
+        {"n1": int, "t1": Fraction},
+        {"k": int, "n2": int, "t2": Fraction, "n3": int, "t3": Fraction, "s": Fraction},
+        _hj_reports, _hj_defaults, takes_mc=True),
+    "hj-simple": Inequality(
+        {"repeats": int, "t": Fraction}, {},
+        lambda seq, f, **mc: [check_hj_simple(seq, f["repeats"], f["t"], **mc)],
+        lambda seq: [{"repeats": k, "t": t} for t in [_median(seq.walk_peak_law)] if t > 0
+                     for k in (1, 2)],
+        takes_mc=True),
+    "mogulskii": Inequality(
+        {"m": int, "a": Fraction, "b": Fraction}, {},
+        lambda seq, f: list(check_mogulskii(seq, f["m"], f["a"], f["b"])),
+        lambda seq: [{"m": 1, "a": r, "b": r} for r in [_median(seq.end_distance_law)]]),
+    "quantile-chain": Inequality(
+        {"t": Fraction}, {}, lambda seq, f: [check_step_quantile_chain(seq, f["t"])],
+        lambda seq: [{"t": Fraction(1, 10)}, {"t": Fraction(2, 5)}]),
+    "moment-sandwich": Inequality(
+        {"t": Fraction, "p": Fraction}, {},
+        lambda seq, f: [check_step_moment_sandwich(seq, f["t"], _p(f))],
+        lambda seq: [{"t": Fraction(1, 4), "p": 1}, {"t": Fraction(1, 2), "p": 2}]),
+    "quantile-ratio": Inequality(
+        {"t": Fraction, "s": Fraction}, {},
+        lambda seq, f: [check_walk_quantile_ratio(seq, f["t"], f["s"])],
+        lambda seq: [{"t": Fraction(1, 10), "s": Fraction(1, 2)}],
+        sweep=Sweep("c1", lambda seq, p0, eps: quantile_ratio_reports(seq),
+                    lambda corpus, p0, eps, seed: (
+                        estimate_quantile_ratio_constant(corpus, seed=seed), False))),
+    "moment-vs-quantile": Inequality(
+        {}, {"p": Fraction}, lambda seq, f: list(check_moment_vs_quantile(seq, _p(f))),
+        lambda seq: [{"p": 1}],
+        sweep=Sweep("approx-ratios", lambda seq, p0, eps: moment_vs_quantile_reports(seq),
+                    lambda corpus, p0, eps, seed: (
+                        sweep_moment_vs_quantile(corpus, seed=seed), False))),
+    "trunc-quantile": Inequality(
+        {}, {"p": Fraction, "eta": float},
+        lambda seq, f: [check_truncated_quantile_shift(seq, _p(f), f.get("eta"))],
+        lambda seq: [{"p": 1}]),
+    "walk-moment": Inequality(
+        {}, {"p": Fraction}, lambda seq, f: [check_walk_moment_bound(seq, _p(f))],
+        lambda seq: [{"p": 1}, {"p": 2}]),
+    "spike-moment": Inequality(
+        {"r": Fraction}, {"p": Fraction},
+        lambda seq, f: [check_spike_moment_bound(seq, f["r"], _p(f))],
+        lambda seq: [{"r": Fraction(9, 10), "p": 1}]),
+    "moment-growth": Inequality(
+        {"p": Fraction, "q": Fraction}, {"p0": Fraction, "eps": float, "c": float, "cprime": float},
+        _moment_growth_reports,
+        lambda seq: [{"p0": 1, "p": 1, "q": 2, "eps": math.log(16)}],
+        sweep=Sweep("c", lambda seq, p0, eps: moment_growth_reports(seq, p0, eps), _sweep_c)),
+}
+
+
+def suite_reports(seq: IndependentSequence):
+    """The reports of `--ineq all`: each row of the table at each of its
+    default points, in table order."""
+    for row in INEQUALITIES.values():
+        for flags in row.defaults(seq):
+            yield from row.reports(seq, flags)

@@ -121,6 +121,73 @@ def test_check_missing_flags_is_usage_error(seq_file, capsys):
     assert "mogulskii" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        (["--n1", "2", "--n2", "1", "--t1", "1", "--t3", "5"], "hj needs --t2 and --n3 for 3 blocks"),
+        (["--n1", "2", "--n3", "1", "--t1", "1", "--t3", "1"], "hj needs --n2 and --t2 for 3 blocks"),
+        (["--n1", "2"], "hj needs --t1"),
+    ],
+)
+def test_check_hj_blocks_with_a_gap_are_usage_errors(seq_file, capsys, blocks, message):
+    assert run(["check", seq_file, "--ineq", "hj", *blocks]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_cprime_without_c_is_usage_error(seq_file, capsys):
+    argv = ["check", seq_file, "--ineq", "moment-growth", "--p", "1", "--q", "2", "--cprime", "3"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: --cprime needs --c\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--ineq", "quantile-chain", "--t", "1/10", "--q", "7"], "q"),
+        (["--ineq", "hj-simple", "--repeats", "1", "--t", "1", "--s", "1"], "s"),
+        (["--ineq", "all", "--p", "2"], "p"),
+    ],
+)
+def test_check_flags_the_inequality_does_not_read_are_usage_errors(
+    seq_file, tmp_path, capsys, argv, flag
+):
+    name = argv[1]
+    assert run(["check", seq_file, *argv]) == 2
+    assert capsys.readouterr().err == f"error: {name} does not read --{flag}\n"
+    # the same config, replayed with the unread flag added, is refused too
+    out, edited = tmp_path / "out.json", tmp_path / "edited.json"
+    assert run(["check", seq_file, *argv[:-2], "--out", str(out)]) == 0
+    blob = read_json(out)
+    blob["config"]["flags"][flag] = argv[-1]
+    edited.write_text(json.dumps(blob))
+    assert run(["replay", str(edited)]) == 2
+    assert capsys.readouterr().err == f"error: {name} does not read --{flag}\n"
+
+
+def test_check_p0_and_eps_are_echoed_for_every_inequality(seq_file, tmp_path):
+    out = tmp_path / "out.json"
+    argv = ["--ineq", "quantile-chain", "--t", "1/10", "--p0", "2", "--eps", "1"]
+    assert run(["check", seq_file, *argv, "--out", str(out)]) == 0
+    assert read_json(out)["config"]["flags"] == {"t": "1/10", "p0": "2", "eps": 1.0}
+
+
+def test_a_row_added_to_the_table_is_checked_alone_and_in_all(seq_file, tmp_path, monkeypatch):
+    # one row and one report function, with flags the table already has
+    row = inequalities.Inequality(
+        {"t": F}, {},
+        lambda seq, f: [inequalities.check_step_quantile_chain(seq, f["t"] / 2)],
+        lambda seq: [{"t": F(1, 3)}],
+    )
+    monkeypatch.setitem(inequalities.INEQUALITIES, "half-chain", row)
+    one, suite = tmp_path / "one.json", tmp_path / "all.json"
+    assert run(["check", seq_file, "--ineq", "half-chain", "--t", "1/3", "--out", str(one)]) == 0
+    [report] = read_json(one)["results"]
+    assert report["name"] == "step-quantile-chain" and report["params"] == {"t": "1/6"}
+    assert run(["check", seq_file, "--ineq", "all", "--out", str(suite)]) == 0
+    assert read_json(suite)["results"][-1] == report
+    assert run(["check", seq_file, "--ineq", "half-chain", "--p", "1"]) == 2
+
+
 def test_check_unknown_checker(seq_file, capsys):
     assert run(["check", seq_file, "--ineq", "nope"]) == 2
 
@@ -585,15 +652,15 @@ def test_sweep_reads_its_corpus_file_once(tmp_path, monkeypatch):
 
 
 def test_csv_sweep_that_fails_midway_leaves_no_file(tmp_path, monkeypatch, capsys):
-    seen = []
+    seen, item_reports = [], inequalities.quantile_ratio_reports
 
     def third_fails(seq):
         seen.append(seq)
         if len(seen) == 3:
             raise ValueError("the third item fails")
-        return inequalities.quantile_ratio_reports(seq)
+        return item_reports(seq)
 
-    monkeypatch.setattr(cli, "quantile_ratio_reports", third_fails)
+    monkeypatch.setattr(inequalities, "quantile_ratio_reports", third_fails)
     out = tmp_path / "rows.csv"
     argv = ["sweep", "--constant", "c1", "--count", "5", "--format", "csv", "--out", str(out)]
     assert run(argv) == 2
@@ -893,6 +960,8 @@ HJ_SIMPLE_MC = MOGULSKII | {"ineq": "hj-simple", "engine": "mc", "trials": 100, 
         ("levy", LEVY_CONFIG | {"windows": ["a"]}, "window starts must lie in 1..horizon-1"),
         ("axioms", {"instance": 5, "samples": None, "seed": 0, "tol": None},
          "instance spec must be a string, not 5"),
+        ("sweep", SWEEP_CONFIG | {"constant": "zzz"}, "unknown sweep constant 'zzz'"),
+        ("sweep", SWEEP_CONFIG | {"constant": ["c"]}, "unknown sweep constant ['c']"),
     ],
 )
 def test_replayed_values_of_the_wrong_type_are_usage_errors(tmp_path, capsys, command, config,

@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import math
 import random
 from decimal import Decimal
@@ -32,11 +33,17 @@ from sgverify import (
     tight_block_set,
 )
 from sgverify import inequalities
-from sgverify.cli import default_suite
-from sgverify.inequalities import DEFAULT_PQ_GRID, _chain_report, moment_growth_reports
+from sgverify.inequalities import (
+    DEFAULT_PQ_GRID,
+    FLAG_DEFAULTS,
+    INEQUALITIES,
+    _chain_report,
+    moment_growth_reports,
+    suite_reports,
+)
 from sgverify.corpus import CorpusSpec, generate_corpus, generate_sequence, random_hj_parameters
 from sgverify.laws import is_rational
-from sgverify.reports import FLOAT_SLACK_TOL, InequalityReport
+from sgverify.reports import FLOAT_SLACK_TOL, InequalityReport, canonical_json
 
 F = Fraction
 
@@ -607,10 +614,33 @@ def test_default_suite_slack_is_nonnegative_on_random_sequences(
     spec, seed, max_len, max_support
 ):
     seq = generate_sequence(parse_instance(spec), random.Random(seed), max_len, max_support, "")
-    for rep in default_suite(seq):
+    for rep in suite_reports(seq):
         if not isinstance(rep, InequalityReport) or rep.degenerate:
             continue
         if is_rational(rep.slack):
             assert rep.slack >= 0, rep.to_jsonable()
         else:
             assert rep.slack >= -FLOAT_SLACK_TOL, rep.to_jsonable()
+
+
+# SHA-256 of `canonical_json` of the `check --ineq all` reports of each item
+# of the default corpus, in corpus order; recorded at commit 4ada7ee, before
+# the suite was read from the table of inequalities.
+SUITE_DIGEST = "d822ee84dbf4f07aeb3affd5df66fbca809c5ff5aa10c888fc8deda6b47ef2a5"
+
+
+def test_all_suite_keeps_its_digest_on_the_default_corpus(corpus):
+    digest = hashlib.sha256()
+    for seq in corpus:
+        digest.update(canonical_json(list(suite_reports(seq))).encode())
+    assert digest.hexdigest() == SUITE_DIGEST
+
+
+def test_every_check_flag_has_one_kind_in_the_table():
+    kinds = {}
+    for row in INEQUALITIES.values():
+        for flag, kind in row.flags.items():
+            assert kind in (int, Fraction, float), flag
+            assert kinds.setdefault(flag, kind) is kind, flag
+    # a flag with a default is read by some row, with the kind of its default
+    assert all(type(value) is kinds[flag] for flag, value in FLAG_DEFAULTS.items())
