@@ -265,8 +265,8 @@ def run_check(config: dict, args):
     if seq is None:
         seq = sequence_from_config(config["sequence"])
     flags = _parse_flags(config["flags"])
-    for key in flags:
-        if key not in row.flags and key not in FLAG_DEFAULTS:
+    for key, value in flags.items():
+        if key not in row.flags and (key not in FLAG_DEFAULTS or value != FLAG_DEFAULTS[key]):
             raise ValueError(f"{name} does not read --{key}")
     missing = [f"--{key}" for key in row.required if key not in flags]
     if missing:

@@ -23,7 +23,6 @@ from .laws import (
     DEFAULT_ENUMERATION_CAP,
     STEP_PEAK,
     WALK_PEAK,
-    EnumerationCapError,
     IndependentSequence,
     ScalarLaw,
     _advance,
@@ -344,7 +343,8 @@ def check_mogulskii(seq: IndependentSequence, m: int, a, b):
 
     Returns the pair of reports, computed exactly from one forward and one
     backward pass (`_mogulskii_probabilities`); a carrier whose composition
-    is not associative is refused with a ValueError.
+    is not associative, or whose magnitude d(a, a*g) depends on a, is
+    refused with a ValueError.
     """
     reach_min, reach_max, end_le, end_ge, stay = _mogulskii_probabilities(seq, m, a, b)
     params, stay_prob = {"m": m, "a": a, "b": b}, min(stay)
@@ -362,20 +362,25 @@ def _mogulskii_probabilities(seq: IndependentSequence, m: int, a, b) -> tuple:
     """(P(min_k d(z1, z0*s_k) <= a), P(max_k ... >= a), P(d(z1, z0*s_n) <= a + b),
     P(... >= a - b), [stay_k = P(d(s_k, s_n) <= b) for k = m..n]).
 
-    A backward pass gives the laws of the suffix products g_k = x_{k+1}...x_n
-    (None is the empty one), a forward pass those of (s_k, window min <= a
-    seen, window max >= a seen), both in the weights of `_exact_weights`.
-    As the composition is associative, s_n = s_k*g_k with g_k independent of
-    s_k, so stay_k sums w*v over the s_k of weight w and the g_k of weight v
-    with g_k empty or d(s_k, s_k*g_k) <= b.  Other carriers are refused.
+    A forward pass gives the law of (s_k, window min <= a seen, window max
+    >= a seen), a backward pass, one layer at a time, those of the suffix
+    products g_k = x_{k+1}...x_n (None is the empty one), both in the
+    weights of `_exact_weights`.  As the composition is associative and the
+    magnitude d(s, s*g) does not depend on s, s_n = s_k*g_k and stay_k =
+    P(g_k empty or d(z0, z0*g_k) <= b): those suffix weights, times the
+    forward pass's total weight at k to keep the common denominator.  Other
+    carriers are refused.
     """
     n, inst = seq.n, seq.instance
     if not 1 <= m <= n:
         raise ValueError(f"window start must be in 1..{n}, got {m}")
     if a < 0 or b < 0:
         raise ValueError("radii must be nonnegative")
-    if not inst.is_associative:
-        raise ValueError(f"Mogulskii needs an associative composition; {inst.name} is not")
+    if not (inst.is_associative and inst.is_magnitude_invariant):
+        raise ValueError(
+            "Mogulskii needs an associative composition and a magnitude d(a, a*g) "
+            f"that does not depend on a; {inst.name} is not such a carrier"
+        )
     compose, distance, z0, z1 = inst.compose, inst.distance, seq.z0, seq.z1
     _, product, _ = _product(inst)
 
@@ -400,35 +405,23 @@ def _mogulskii_probabilities(seq: IndependentSequence, m: int, a, b) -> tuple:
         """A sum of weights as a probability; an empty sum stays the int 0."""
         return Fraction(total, denominator) if denominator and total else total
 
-    tails = [((None,), [one])]
-    for k in range(n, m, -1):
-        tails.append(_advance(tails[-1], columns[k - 1], prepend, k, cap))
-    states = ((None, False, False),), [one]
-    heads = []
+    states, totals = (((None, False, False),), [one]), []
     for k, column in enumerate(columns, 1):
         states = _advance(states, column, in_window if k >= m else before_window, k, cap)
-        if k >= m:
-            heads.append({})
-            for (s, _, _), w in zip(*states):
-                heads[-1][s] = heads[-1].get(s, 0) + w
-    stay = []
-    for k, head, (suffixes, weights) in zip(range(m, n + 1), heads, reversed(tails)):
-        if len(head) * len(suffixes) > cap:
-            raise EnumerationCapError(
-                f"{len(head)} partial products at window index {k} times "
-                f"{len(suffixes)} suffix products would exceed the state cap {cap}"
-            )
-        stay.append(prob(sum(
-            w * v for s, w in head.items() for g, v in zip(suffixes, weights)
-            if g is None or distance(s, compose(s, g)) <= b
-        )))
+        totals.append(sum(states[1]))
+    suffixes, stay = ((None,), [one]), []
+    for k in range(n, m - 1, -1):
+        weight = sum(v for g, v in zip(*suffixes) if g is None or distance(z0, compose(z0, g)) <= b)
+        stay.append(prob(weight and totals[k - 1] * weight))
+        if k > m:
+            suffixes = _advance(suffixes, columns[k - 1], prepend, k, cap)
     ends = [(shifted(s), low, high, w) for (s, low, high), w in zip(*states)]
     return (
         prob(sum(w for _, low, _, w in ends if low)),
         prob(sum(w for _, _, high, w in ends if high)),
         prob(sum(w for end, _, _, w in ends if end <= a + b)),
         prob(sum(w for end, _, _, w in ends if end >= a - b)),
-        stay,
+        stay[::-1],
     )
 
 

@@ -677,13 +677,12 @@ def _push_forward_law(statistic: tuple, variables, cap: int) -> ScalarLaw:
     measure = (start,), [one]
     for index, column in enumerate(columns, 1):
         measure = _advance(measure, column, step, index, cap)
-    merged: dict = {}
-    for state, weight in zip(*measure):
-        v = value(state)
-        merged[v] = merged.get(v, 0) + weight
+    # the values merge as step n + 1, whose one atom has weight 1
+    n = len(columns)
+    values, weights = _advance(measure, ((None,), (1,)), lambda s, _: value(s), n + 1, cap)
     if denominator is None:
-        return ScalarLaw.from_pairs(merged.items())
-    return ScalarLaw.from_weights(merged.keys(), merged.values(), denominator)
+        return ScalarLaw.from_pairs(zip(values, weights))
+    return ScalarLaw.from_weights(values.keys(), weights, denominator)
 
 
 # ---------------------------------------------------------------------------

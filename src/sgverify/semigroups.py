@@ -54,7 +54,8 @@ ADJOINED_IDENTITY = _AdjoinedIdentity()
 class MetricSemigroup:
     """Base class for all instances.
 
-    Subclasses must set the capability flags and implement ``compose``,
+    Subclasses must set the capability flags (``is_magnitude_invariant``:
+    d(a, a*g) does not depend on a) and implement ``compose``,
     ``distance``, ``contains``, ``random_element`` and the element JSON
     round-trip.  ``compose`` and ``distance`` assume valid elements (hot
     loops call them unchecked); use ``require_element`` at API boundaries.
@@ -68,6 +69,7 @@ class MetricSemigroup:
     is_finite: bool = False
     is_exact: bool = False
     is_associative: bool = True
+    is_magnitude_invariant: bool = True
 
     def compose(self, a: Element, b: Element) -> Element:
         raise NotImplementedError
@@ -409,6 +411,7 @@ class BrokenMultiplicativeRationals(PositiveRationalsAdditive):
     """
 
     name = spec = "broken:mulreal"
+    is_magnitude_invariant = False
     has_identity = True
     is_group = True
 
@@ -620,6 +623,7 @@ class CompletedMonoid(MetricSemigroup):
         self.is_finite = base.is_finite
         self.is_exact = base.is_exact
         self.is_associative = base.is_associative
+        self.is_magnitude_invariant = base.is_magnitude_invariant
         self.name = f"{base.name}+1"
         self.spec = f"{base.spec}+1"
 
