@@ -92,16 +92,27 @@ def test_check_mogulskii_flags(seq_file, tmp_path):
 @pytest.mark.parametrize(
     "argv", [["--ineq", "mogulskii", "--m", "1", "--a", "1", "--b", "1"], ["--ineq", "all"]]
 )
-@pytest.mark.parametrize("spec", ["broken:subint", "broken:mulreal"])
-def test_check_mogulskii_refuses_a_carrier_that_is_not_a_metric_semigroup(
-    tmp_path, capsys, argv, spec
-):
-    path = tmp_path / "seq.json"
-    step = {"atoms": [[2, "1/2"], [3, "1/2"]]}
-    path.write_text(json.dumps({"instance": spec, "variables": [step] * 3}))
+def test_check_mogulskii_refuses_a_non_associative_carrier(tmp_path, capsys, argv):
+    path = tmp_path / "subint.json"
+    step = {"atoms": [[1, "1/2"], [-2, "1/2"]]}
+    path.write_text(json.dumps({"instance": "broken:subint", "variables": [step] * 3}))
     assert run(["check", str(path), *argv]) == 2
     err = capsys.readouterr().err
-    assert "associative" in err and f"{spec} is not such a carrier" in err
+    assert "associative" in err and "broken:subint is not such a carrier" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--ineq", "mogulskii", "--m", "1", "--a", "1", "--b", "1"], ["--ineq", "all"]]
+)
+def test_check_mogulskii_refuses_a_carrier_whose_magnitude_depends_on_the_base_point(
+    tmp_path, capsys, argv
+):
+    path = tmp_path / "mulreal.json"
+    step = {"atoms": [[2, "1/2"], [3, "1/2"]]}
+    path.write_text(json.dumps({"instance": "broken:mulreal", "variables": [step] * 3}))
+    assert run(["check", str(path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert "associative" in err and "broken:mulreal is not such a carrier" in err
 
 
 def test_check_all_suite(seq_file, tmp_path):

@@ -182,11 +182,19 @@ def test_mogulskii_randomized_windows():
                 assert rep.slack >= 0, (seq.label, rep.to_jsonable())
 
 
-@pytest.mark.parametrize("spec", ["broken:subint", "broken:mulreal"])
-def test_mogulskii_refuses_a_carrier_that_is_not_a_metric_semigroup(spec):
+def test_mogulskii_refuses_a_non_associative_carrier():
+    subint = parse_instance("broken:subint")
+    step = DiscreteDistribution.of([(1, F(1, 2)), (-2, F(1, 2))])
+    seq = IndependentSequence.build(subint, [step] * 3)
+    with pytest.raises(ValueError, match="associative.*; broken:subint is not such a carrier"):
+        check_mogulskii(seq, 1, 1, 1)
+
+
+def test_mogulskii_refuses_a_carrier_whose_magnitude_depends_on_the_base_point():
+    mulreal = parse_instance("broken:mulreal")
     step = DiscreteDistribution.of([(2, F(1, 2)), (3, F(1, 2))])
-    seq = IndependentSequence.build(parse_instance(spec), [step] * 3)
-    with pytest.raises(ValueError, match=f"associative.*; {spec} is not such a carrier"):
+    seq = IndependentSequence.build(mulreal, [step] * 3)
+    with pytest.raises(ValueError, match="associative.*; broken:mulreal is not such a carrier"):
         check_mogulskii(seq, 1, 1, 1)
 
 

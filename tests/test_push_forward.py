@@ -258,6 +258,16 @@ def test_mogulskii_on_a_long_walk_holds_exactly(m):
         assert report.slack >= 0, report.to_jsonable()
 
 
+@pytest.mark.parametrize("m", [1, 15])
+def test_mogulskii_on_a_30_step_walk_matches_the_pair_pass(m):
+    seq = seeded_pm1_walk(30)
+    radius = median_end_distance(seq)
+    stay = pair_pass_stay(seq, m, radius)
+    assert_same(_mogulskii_probabilities(seq, m, radius, radius)[-1], stay)
+    for report in check_mogulskii(seq, m, radius, radius):
+        assert_same(report.components["stay_prob"], min(stay))
+
+
 def iid_walk(spec, n, seed=1):
     """n copies of one 3-atom step on `spec`, drawn from `seed`."""
     inst = parse_instance(spec)
