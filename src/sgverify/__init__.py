@@ -3,13 +3,7 @@ semigroups: instances and axiom checks, exact/Monte-Carlo laws of path
 statistics, the rearrangement calculus, inequality checkers with constant
 estimators, and a convergence-dichotomy probe."""
 
-from .axioms import (
-    AxiomReport,
-    GroupMetricClassification,
-    classify_group_metric,
-    telescoping_slack,
-    verify_axioms,
-)
+from .axioms import AxiomReport, verify_axioms
 from .corpus import (
     CorpusSpec,
     generate_corpus,

@@ -1,4 +1,4 @@
-"""Axiom certification: metric axioms, invariance, and group-metric classes."""
+"""Axiom certification: metric axioms and invariance."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .semigroups import MetricSemigroup, NotAGroupError
+from .semigroups import MetricSemigroup
 
 
 @dataclass(frozen=True)
@@ -183,116 +183,3 @@ def verify_axioms(
         report.violations[name] = bad
         report.worst[name] = worst
     return report
-
-
-@dataclass(frozen=True)
-class GroupMetricClassification:
-    """Which invariance properties a group metric satisfies.
-
-    Properties: (1) left-translation invariance, (2) right-translation
-    invariance, (3) the inverse map is an isometry, (4) invariance under
-    conjugation.  Any two of them imply the other two, so the number that
-    hold is 0, 1 or 4 -- never 2 or 3.  `product_triangle` records the
-    two-sided product bound, the formulation equivalent to (3).
-    """
-
-    instance: str
-    left_invariant: bool
-    right_invariant: bool
-    inverse_isometry: bool
-    conjugation_invariant: bool
-    product_triangle: bool
-
-    def property_set(self) -> frozenset:
-        held = []
-        for idx, flag in enumerate(
-            (
-                self.left_invariant,
-                self.right_invariant,
-                self.inverse_isometry,
-                self.conjugation_invariant,
-            ),
-            start=1,
-        ):
-            if flag:
-                held.append(idx)
-        return frozenset(held)
-
-    @property
-    def consistent(self) -> bool:
-        return len(self.property_set()) in (0, 1, 4)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "instance": self.instance,
-            "properties": sorted(self.property_set()),
-            "product_triangle": self.product_triangle,
-            "consistent": self.consistent,
-        }
-
-
-def classify_group_metric(
-    inst: MetricSemigroup,
-    samples: int | None = None,
-    seed: int = 0,
-    tol: float | None = None,
-) -> GroupMetricClassification:
-    """Classify the invariance properties of a group's metric.
-
-    Exhaustive over all element triples when the group is finite and
-    ``samples`` is None; sampled otherwise.
-    """
-    if not inst.is_group:
-        raise NotAGroupError(f"{inst.name} is not a group")
-    tol, tuples_of = _check_setup(inst, samples, seed, tol)
-    d = inst.distance
-    c = inst.compose
-    inv = inst.inverse
-
-    left = right = inverse_iso = conj = True
-    for a, b, x in tuples_of(3, "classify"):
-        base = d(a, b)
-        if abs(d(c(x, a), c(x, b)) - base) > tol:
-            left = False
-        if abs(d(c(a, x), c(b, x)) - base) > tol:
-            right = False
-        if abs(d(inv(a), inv(b)) - base) > tol:
-            inverse_iso = False
-        xi = inv(x)
-        if abs(d(c(c(x, a), xi), c(c(x, b), xi)) - base) > tol:
-            conj = False
-
-    prod_tri = True
-    for y1, y2, z1, z2 in tuples_of(4, "classify-product"):
-        if d(c(y1, y2), c(z1, z2)) - d(y1, z1) - d(y2, z2) > tol:
-            prod_tri = False
-            break
-    return GroupMetricClassification(
-        instance=inst.name,
-        left_invariant=left,
-        right_invariant=right,
-        inverse_isometry=inverse_iso,
-        conjugation_invariant=conj,
-        product_triangle=prod_tri,
-    )
-
-
-def telescoping_slack(inst: MetricSemigroup, head, tail):
-    """Slack of the telescoping bound along a composition chain.
-
-    For head = (z_0, ..., z_k) and tail = (z_{k+1}, ..., z_{k+l}):
-    d(z_0...z_k, z_0...z_{k+l}) <= sum_i d(z_0, z_0 * z_{k+i}).
-    Returns bound minus distance (nonnegative when the bound holds).
-    """
-    if not head:
-        raise ValueError("head must contain at least z_0")
-    z0 = head[0]
-    prod = head[0]
-    for z in head[1:]:
-        prod = inst.compose(prod, z)
-    full = prod
-    bound = 0
-    for z in tail:
-        full = inst.compose(full, z)
-        bound += inst.distance(z0, inst.compose(z0, z))
-    return bound - inst.distance(prod, full)

@@ -203,15 +203,6 @@ class DiscreteDistribution:
         object.__setattr__(dist, "weights_over_lcm", (total, weights))
         return dist
 
-    @staticmethod
-    def point_mass(element) -> "DiscreteDistribution":
-        return DiscreteDistribution(((element, Fraction(1)),))
-
-    @staticmethod
-    def uniform(elements: Sequence) -> "DiscreteDistribution":
-        n = len(elements)
-        return DiscreteDistribution.of([(e, Fraction(1, n)) for e in elements])
-
 
 # ---------------------------------------------------------------------------
 # scalar laws on [0, oo)
@@ -297,7 +288,13 @@ class ScalarLaw:
             if not p >= 0:  # also false for NaN
                 raise ValueError(f"probability {p} is not >= 0")
             merged[v] = merged.get(v, 0) + p
-        items = sorted((v, p) for v, p in merged.items() if p > 0)
+        return ScalarLaw._from_distinct(merged.items(), kind, trials, seed)
+
+    @staticmethod
+    def _from_distinct(pairs, kind="exact", trials=None, seed=None) -> "ScalarLaw":
+        """`from_pairs` for (value, probability) `pairs` whose values are
+        distinct: sorted once, zero probabilities dropped, mass checked."""
+        items = sorted(((v, p) for v, p in pairs if p > 0), key=itemgetter(0))
         values = tuple(v for v, _ in items)
         probs = tuple(p for _, p in items)
         total = sum(probs)
@@ -357,10 +354,6 @@ class ScalarLaw:
             trials=trials,
             seed=seed,
         )
-
-    @staticmethod
-    def point_mass(value) -> "ScalarLaw":
-        return ScalarLaw((value,), (Fraction(1),))
 
     @property
     def is_empirical(self) -> bool:
@@ -681,7 +674,8 @@ def _push_forward_law(statistic: tuple, variables, cap: int) -> ScalarLaw:
     n = len(columns)
     values, weights = _advance(measure, ((None,), (1,)), lambda s, _: value(s), n + 1, cap)
     if denominator is None:
-        return ScalarLaw.from_pairs(zip(values, weights))
+        # float weights, which a product can underflow to 0.0
+        return ScalarLaw._from_distinct(zip(values, weights))
     return ScalarLaw.from_weights(values.keys(), weights, denominator)
 
 
@@ -876,21 +870,25 @@ def mc_tail_agreement(
 # JSON configuration round-trip
 
 
-def _prob_to_json(p):
-    if isinstance(p, Fraction):
-        return str(p)
-    if isinstance(p, int):
-        return str(Fraction(p))
-    return float(p)
+def _probs_to_json(var: DiscreteDistribution) -> list:
+    """The JSON form of each probability of `var`, in the order of its
+    support: "p/q" from the int weights when every probability is rational,
+    so the Fraction atoms are not made; else each as a float."""
+    if var.is_rational:
+        lcm, weights = var.weights_over_lcm
+        return [_ratio_to_json(w, lcm) for w in weights]
+    return [str(Fraction(p)) if is_rational(p) else float(p) for _, p in var.atoms]
+
+
+def _ratio_to_json(num: int, den: int) -> str:
+    """str(Fraction(num, den)), for den > 0, without the Fraction."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}" if den != g else str(num // g)
 
 
 def _prob_from_json(j):
     if isinstance(j, str):
-        # the plain "p/q" form from ints; every other form Fraction parses
-        num, _, den = j.partition("/")
         try:
-            if num.isdecimal() and den.isdecimal():
-                return Fraction(int(num), int(den))
             return Fraction(j)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"cannot parse probability {j!r}") from None
@@ -903,6 +901,30 @@ def _prob_from_json(j):
     raise ValueError(f"cannot parse probability {j!r}")
 
 
+def _weights_from_json(probs: list) -> list | None:
+    """Int weights over the lcm of the denominators, when every one of
+    `probs` is a positive "p/q" or "p" string of decimal digits and they sum
+    to 1; else None, and `_prob_from_json` and `DiscreteDistribution.of`
+    read them and raise what they raise."""
+    ratios = []
+    for j in probs:
+        if type(j) is not str:
+            return None
+        num, slash, den = j.partition("/")
+        if not (num.isdecimal() and (den.isdecimal() or not slash)):
+            return None
+        try:
+            ratio = int(num), int(den) if slash else 1
+        except ValueError:  # more digits than int() reads
+            return None
+        if not all(ratio):
+            return None
+        ratios.append(ratio)
+    lcm = math.lcm(*(den for _, den in ratios))
+    weights = [num * (lcm // den) for num, den in ratios]
+    return weights if sum(weights) == lcm else None
+
+
 def sequence_to_config(seq: IndependentSequence) -> dict:
     """Serializable description: instance spec, atoms with exact probabilities,
     and basepoints."""
@@ -910,7 +932,12 @@ def sequence_to_config(seq: IndependentSequence) -> dict:
     return {
         "instance": inst.spec,
         "variables": [
-            {"atoms": [[inst.element_to_json(e), _prob_to_json(p)] for e, p in var.atoms]}
+            {
+                "atoms": [
+                    [inst.element_to_json(e), p]
+                    for e, p in zip(var.support, _probs_to_json(var))
+                ]
+            }
             for var in seq.variables
         ],
         "z0": inst.element_to_json(seq.z0),
@@ -955,8 +982,13 @@ def sequence_from_config(config: dict) -> IndependentSequence:
                 f"'atoms' of variable {index} must be a list of [element, probability] "
                 f"pairs, not {pairs!r}"
             )
-        atoms = [(inst.element_from_json(e), _prob_from_json(p)) for e, p in pairs]
-        variables.append(DiscreteDistribution.of(atoms))
+        weights = _weights_from_json([p for _, p in pairs])
+        if weights is None:
+            atoms = [(inst.element_from_json(e), _prob_from_json(p)) for e, p in pairs]
+            variables.append(DiscreteDistribution.of(atoms))
+        else:
+            elements = [inst.element_from_json(e) for e, _ in pairs]
+            variables.append(DiscreteDistribution.from_weights(elements, weights))
     z0 = inst.element_from_json(config["z0"]) if "z0" in config else None
     z1 = inst.element_from_json(config["z1"]) if "z1" in config else None
     return IndependentSequence.build(

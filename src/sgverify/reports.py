@@ -87,8 +87,25 @@ class Uncertain:
         return f"Uncertain({self.value!r}, se={self.se!r})"
 
 
+class _Report:
+    """The JSON form of a report: the fields named in `json_keys` (sorted,
+    the order `canonical_json` writes them in), less the `optional` ones
+    that are empty.  `to_jsonable` and `canonical_json` convert each value
+    but those of the fields `as_is`, which they write as `json.dumps` does."""
+
+    as_is = frozenset({"degenerate", "holds", "name", "note"})
+
+    def json_fields(self) -> list:
+        """(key, value, convert) of each field of the JSON form."""
+        fields = [(key, getattr(self, key)) for key in self.json_keys]
+        return [(k, v, k not in self.as_is) for k, v in fields if k not in self.optional or v]
+
+    def to_jsonable(self) -> dict:
+        return {key: to_jsonable(v) if convert else v for key, v, convert in self.json_fields()}
+
+
 @dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(_Report):
     """Outcome of one lhs <= rhs check."""
 
     name: str
@@ -102,23 +119,11 @@ class InequalityReport:
     components: dict | None = None
     note: str | None = None
 
-    def to_jsonable(self) -> dict:
-        out = {
-            "name": self.name,
-            "params": to_jsonable(self.params),
-            "lhs": to_jsonable(self.lhs),
-            "rhs": to_jsonable(self.rhs),
-            "slack": to_jsonable(self.slack),
-            "holds": self.holds,
-            "engine": to_jsonable(self.engine),
-        }
-        if self.degenerate:
-            out["degenerate"] = self.degenerate
-        if self.components:
-            out["components"] = to_jsonable(self.components)
-        if self.note:
-            out["note"] = self.note
-        return out
+    json_keys = (
+        "components", "degenerate", "engine", "holds", "lhs", "name", "note", "params", "rhs",
+        "slack",
+    )
+    optional = frozenset({"components", "degenerate", "note"})
 
     def row(self) -> dict:
         return {
@@ -134,7 +139,7 @@ class InequalityReport:
 
 
 @dataclass(frozen=True)
-class RatioReport:
+class RatioReport(_Report):
     """A recorded (not asserted) ratio, for corpus aggregation."""
 
     name: str
@@ -144,18 +149,8 @@ class RatioReport:
     degenerate: str | None = None
     note: str | None = None
 
-    def to_jsonable(self) -> dict:
-        out = {
-            "name": self.name,
-            "params": to_jsonable(self.params),
-            "ratio": to_jsonable(self.ratio),
-            "components": to_jsonable(self.components),
-        }
-        if self.degenerate:
-            out["degenerate"] = self.degenerate
-        if self.note:
-            out["note"] = self.note
-        return out
+    json_keys = ("components", "degenerate", "name", "note", "params", "ratio")
+    optional = frozenset({"degenerate", "note"})
 
     def row(self) -> dict:
         return {
@@ -305,8 +300,87 @@ def compact_json(obj) -> str:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic pretty JSON used for all file outputs."""
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """Deterministic pretty JSON used for all file outputs: the text of
+    `json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\\n"`, written
+    in one pass over `obj` without the copy.  Keys are sorted, the indent is
+    two spaces and strings use ASCII escapes; Fractions are "p/q" strings and
+    non-finite floats "inf", "-inf" or "nan".  What `to_jsonable` does not
+    convert itself (the value of a `to_jsonable()` method, an `Uncertain`,
+    a frozenset's sorted list) is written by `json.dumps`'s own rules."""
+    out: list = []
+    _write(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _write(x, nl: str, write) -> None:
+    """Write `to_jsonable(x)` as `json.dumps` with indent 2 would, at the
+    indent `nl` (a newline and the current indent)."""
+    t = type(x)
+    if t is str:
+        write(_escape(x))
+    elif t is Fraction:
+        write(f'"{x!s}"')
+    elif t is int:
+        write(int.__repr__(x))
+    elif t is float and math.isfinite(x):
+        write(float.__repr__(x))
+    elif isinstance(x, _Report):
+        _write_report(x, nl, write)
+    elif isinstance(x, dict):
+        if not x:
+            write("{}")
+            return
+        if not all(type(key) is str for key in x):
+            x = {str(key): v for key, v in x.items()}
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            write(sep + _escape(key) + ": ")
+            _write(x[key], inner, write)
+            sep = "," + inner
+        write(nl + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            write("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in x:
+            write(sep)
+            _write(v, inner, write)
+            sep = "," + inner
+        write(nl + "]")
+    else:
+        write(_as_is(to_jsonable(x), nl))
+
+
+def _write_report(report: _Report, nl: str, write) -> None:
+    """Write the JSON form of `report`, which always has a field; a value
+    not marked convert is written as it is."""
+    inner = nl + "  "
+    sep = "{" + inner
+    for key, v, convert in report.json_fields():
+        write(f'{sep}"{key}": ')
+        if convert:
+            _write(v, inner, write)
+        else:
+            write(_as_is(v, inner))
+        sep = "," + inner
+    write(nl + "}")
+
+
+def _as_is(x, nl: str) -> str:
+    """`x` as `json.dumps` with indent 2 writes it, at the indent `nl`: its
+    newlines are all indentation, as JSON strings escape theirs."""
+    if type(x) is str:
+        return _escape(x)
+    if x is None or type(x) is bool:
+        return "null" if x is None else "true" if x else "false"
+    return json.dumps(x, sort_keys=True, indent=2).replace("\n", nl)
 
 
 def _csv_number(x):

@@ -785,6 +785,32 @@ def test_replayed_bad_numeric_config_is_a_usage_error(tmp_path, capsys, command,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# SHA-256 of `axioms` and `levy` outputs, recorded at commit db47e66, before
+# `canonical_json` wrote in one pass; their `to_jsonable()` methods hand it
+# raw floats and objects keyed by float and int strings.
+AXIOMS_LEVY_DIGESTS = {
+    ("axioms", "cyclic:6", "--exhaustive"):
+        (0, "a03b254fc1a6fff77673b261cc378e6690f43db996c6d1272f38e36fa0eab0f1"),
+    ("axioms", "torus:2", "--samples", "300", "--seed", "1", "--tol", "1e-12"):
+        (0, "2a837da4377b860532896a16cfdb27d115411070f878fd4e0c6dd67cf5403d21"),
+    ("axioms", "broken:mulreal", "--samples", "200", "--seed", "7"):
+        (1, "42da5876ed2d778119b843a9de8253169eed08ecc1e633e0de291c0927e18531"),
+    ("levy", "--schedule", "geometric:3", "--paths", "20", "--horizon", "60",
+     "--windows", "5,10,20", "--seed", "5"):
+        (0, "a6b5783a1f4d432a11e412c1f0f1c1590e1ec4bd77874b0be4b0bb8517807b07"),
+    ("levy", "--schedule", "constant:uniform", "--paths", "20", "--horizon", "60",
+     "--windows", "5,10,20", "--seed", "5"):
+        (0, "677e75eb4f36d6daa26175bad4e361dd5a0bebc9b33cdc86d59489bcb4246e57"),
+}
+
+
+def test_axioms_and_levy_outputs_keep_their_digests(tmp_path):
+    out = tmp_path / "out.json"
+    for argv, (code, digest) in AXIOMS_LEVY_DIGESTS.items():
+        assert run([*argv, "--out", str(out)]) == code, argv
+        assert sha256(out) == digest, argv
+
+
 def test_levy_converging_and_diverging(tmp_path):
     out = tmp_path / "levy.json"
     code = run(

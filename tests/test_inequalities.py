@@ -45,6 +45,8 @@ from sgverify.corpus import CorpusSpec, generate_corpus, generate_sequence, rand
 from sgverify.laws import is_rational
 from sgverify.reports import FLOAT_SLACK_TOL, InequalityReport, canonical_json
 
+from law_oracles import point_mass
+
 F = Fraction
 
 
@@ -203,7 +205,7 @@ def test_mogulskii_refuses_a_carrier_whose_magnitude_depends_on_the_base_point()
 
 def test_chain_point_mass():
     line = IntegerAdditive()
-    seq = IndependentSequence.build(line, [DiscreteDistribution.point_mass(1)])
+    seq = IndependentSequence.build(line, [point_mass(1)])
     rep = check_step_quantile_chain(seq, F(2, 5))
     assert list(rep.components.values()) == [1, 1, 1, 1]
 
@@ -212,7 +214,7 @@ def test_chain_two_deterministic_steps():
     line = IntegerAdditive()
     seq = IndependentSequence.build(
         line,
-        [DiscreteDistribution.point_mass(1), DiscreteDistribution.point_mass(2)],
+        [point_mass(1), point_mass(2)],
     )
     rep = check_step_quantile_chain(seq, F(2, 5))
     assert list(rep.components.values()) == [2, 2, 2, 2]
@@ -223,7 +225,7 @@ def test_chain_two_deterministic_steps():
 
 def test_sandwich_examples():
     line = IntegerAdditive()
-    solo = IndependentSequence.build(line, [DiscreteDistribution.point_mass(1)])
+    solo = IndependentSequence.build(line, [point_mass(1)])
     rep = check_step_moment_sandwich(solo, F(1, 2), 1)
     assert rep.components["lower"] == F(1, 3)
     assert rep.components["step_peak_moment"] == 1
@@ -237,7 +239,7 @@ def test_sandwich_examples():
         "step_peak_moment": F(2),
         "upper": F(2),
     }
-    zero = IndependentSequence.build(line, [DiscreteDistribution.point_mass(0)])
+    zero = IndependentSequence.build(line, [point_mass(0)])
     rep = check_step_moment_sandwich(zero, F(1, 2), 1)
     assert rep.components["step_peak_moment"] == 0 and rep.holds
 
@@ -276,7 +278,7 @@ def test_quantile_ratio_parameter_collapse():
 
 def test_quantile_ratio_point_mass_steps():
     line = IntegerAdditive()
-    seq = IndependentSequence.build(line, [DiscreteDistribution.point_mass(2)] * 2)
+    seq = IndependentSequence.build(line, [point_mass(2)] * 2)
     rep = check_walk_quantile_ratio(seq, F(1, 10), F(1, 2))
     bound = max(math.log(2), math.log(math.log(40))) / math.log(10)
     assert rep.ratio <= bound + 1e-12
@@ -284,7 +286,7 @@ def test_quantile_ratio_point_mass_steps():
 
 def test_quantile_ratio_zero_walk():
     line = IntegerAdditive()
-    seq = IndependentSequence.build(line, [DiscreteDistribution.point_mass(0)])
+    seq = IndependentSequence.build(line, [point_mass(0)])
     rep = check_walk_quantile_ratio(seq, F(1, 10), F(1, 2))
     assert rep.ratio == 0 and not rep.degenerate
 
@@ -325,14 +327,14 @@ def test_moment_vs_quantile_rademacher():
 
 def test_moment_vs_quantile_point_mass():
     line = IntegerAdditive()
-    seq = IndependentSequence.build(line, [DiscreteDistribution.point_mass(1)])
+    seq = IndependentSequence.build(line, [point_mass(1)])
     plain, _ = check_moment_vs_quantile(seq, 1)
     assert plain.ratio == pytest.approx(0.5)
 
 
 def test_moment_vs_quantile_degenerate_walk():
     line = IntegerAdditive()
-    seq = IndependentSequence.build(line, [DiscreteDistribution.point_mass(0)])
+    seq = IndependentSequence.build(line, [point_mass(0)])
     plain, truncated = check_moment_vs_quantile(seq, 1)
     assert plain.degenerate and plain.ratio == 1.0
     assert truncated.degenerate
@@ -372,7 +374,7 @@ def test_walk_moment_bound_examples():
     assert rep.lhs == F(3, 2)
     assert rep.rhs == 24  # 8 * (1 + walk quantile 2 at level 1/8)
     line = IntegerAdditive()
-    solo = IndependentSequence.build(line, [DiscreteDistribution.point_mass(5)])
+    solo = IndependentSequence.build(line, [point_mass(5)])
     rep = check_walk_moment_bound(solo, 1)
     assert rep.lhs == 5 and rep.rhs == 8 * (5 + 5)
     rep = check_walk_moment_bound(rademacher_seq(3), 2)

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -18,17 +19,23 @@ from sgverify import (
     exact_functional_law,
     mc_tail_agreement,
     monte_carlo_law,
+    parse_instance,
     sequence_from_config,
     sequence_to_config,
 )
 from sgverify.corpus import CorpusSpec, generate_corpus
+from sgverify.laws import _prob_from_json
 from sgverify.levy import UniformBoxSampler
 
 from law_oracles import (
     FractionDistribution,
     enumerate_outcomes,
     path_trace,
+    pm1_peak_below_count,
+    point_mass,
     product_step_peak_law,
+    scalar_point_mass,
+    uniform,
 )
 
 F = Fraction
@@ -56,7 +63,7 @@ def test_path_trace_on_the_line():
 
 def test_path_trace_cyclic_wraparound():
     cyc = CyclicGroup(6)
-    var = DiscreteDistribution.point_mass(4)
+    var = point_mass(4)
     seq = IndependentSequence.build(cyc, [var, var])
     trace = path_trace(seq, (4, 4))
     assert trace.products == (4, 2)
@@ -97,7 +104,7 @@ def test_moment_helpers():
     assert law.moment(2) == F(5, 2)
     assert law.moment_root(1) == F(3, 2)
     assert law.moment_root(2) == pytest.approx(math.sqrt(2.5))
-    point = ScalarLaw.point_mass(F(3))
+    point = scalar_point_mass(F(3))
     assert point.moment(2) == 9
 
 
@@ -174,7 +181,7 @@ def test_magnitude_law_ignores_basepoint():
 
 
 def test_enumeration_cap():
-    var = DiscreteDistribution.uniform([0, 1, 2])
+    var = uniform([0, 1, 2])
     seq = IndependentSequence.build(IntegerAdditive(), [var] * 5)
     with pytest.raises(EnumerationCapError):
         list(enumerate_outcomes(seq, cap=100))
@@ -212,7 +219,7 @@ def test_monte_carlo_chunk_and_order_invariance():
 
 
 def test_point_mass_monte_carlo_is_exact():
-    var = DiscreteDistribution.point_mass(3)
+    var = point_mass(3)
     seq = IndependentSequence.build(IntegerAdditive(), [var, var])
     emp = monte_carlo_law(seq, "walk_peak", trials=500, seed=1)
     exact = seq.walk_peak_law
@@ -222,7 +229,7 @@ def test_point_mass_monte_carlo_is_exact():
 
 def test_torus_walk_respects_diameter():
     tor = TorusGroup(1)
-    step = DiscreteDistribution.uniform([((i + 0.5) / 16,) for i in range(16)])
+    step = uniform([((i + 0.5) / 16,) for i in range(16)])
     seq = IndependentSequence.build(tor, [step] * 10)
     law = monte_carlo_law(seq, "walk_peak", trials=2000, seed=8)
     assert law.max_value <= 0.5
@@ -449,6 +456,78 @@ def test_sequence_config_round_trip():
         assert back.walk_peak_law.values == seq.walk_peak_law.values
 
 
+def read_by_of(inst, atoms):
+    """A variable's [element, probability] pairs read as every config was
+    before "p/q" strings became int weights: each probability by
+    `_prob_from_json`, then the whole by `DiscreteDistribution.of`."""
+    return DiscreteDistribution.of(
+        [(inst.element_from_json(e), _prob_from_json(p)) for e, p in atoms]
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 9973])
+def test_config_weights_equal_the_fraction_path_on_default_corpus(seed):
+    for seq in generate_corpus(CorpusSpec(count=3000, seed=seed)):
+        config = json.loads(json.dumps(sequence_to_config(seq)))
+        # the corpus builds its steps from int weights; writing them makes no atoms
+        assert not any("atoms" in var.__dict__ for var in seq.variables)
+        read = sequence_from_config(config)
+        for var, entry in zip(read.variables, config["variables"]):
+            assert "atoms" not in var.__dict__
+            old = read_by_of(seq.instance, entry["atoms"])
+            assert var.support == old.support
+            assert var.weights_over_lcm == old.weights_over_lcm
+            assert var.atoms == old.atoms and repr(var.atoms) == repr(old.atoms)
+
+
+# Each read of these atoms, recorded before "p/q" strings became int
+# weights: the repr of the atoms, or the message of the ValueError.  Atoms whose
+# probabilities are positive "p/q" strings summing to 1 take the int-weight
+# path; the rest fall back to `of`.
+EDGE_ATOMS = [
+    ([[1, "0"], [2, "1"]], "((2, Fraction(1, 1)),)"),
+    ([[1, "0/2"], [2, "1/1"]], "((2, Fraction(1, 1)),)"),
+    ([[1, "1/0"], [2, "1"]], "cannot parse probability '1/0'"),
+    ([[1, "-1/4"], [2, "5/4"]], "probability -1/4 for atom 1 is not >= 0"),
+    ([[1, "3/2"], [2, "-1/2"]], "probability -1/2 for atom 2 is not >= 0"),
+    ([[1, "+1/2"], [2, "1/2"]], "((1, Fraction(1, 2)), (2, Fraction(1, 2)))"),
+    ([[1, " 1/4"], [2, "3/4"]], "((1, Fraction(1, 4)), (2, Fraction(3, 4)))"),
+    ([[1, "2/4"], [2, "1/2"]], "((1, Fraction(1, 2)), (2, Fraction(1, 2)))"),
+    ([[1, "1.5e-1"], [2, "17/20"]], "((1, Fraction(3, 20)), (2, Fraction(17, 20)))"),
+    ([[1, "1/2/3"], [2, "1/2"]], "cannot parse probability '1/2/3'"),
+    ([[1, 1]], "((1, Fraction(1, 1)),)"),
+    ([[1, 1], [2, 0]], "((1, Fraction(1, 1)),)"),
+    ([[1, 0.5], [2, 0.5]], "((1, 0.5), (2, 0.5))"),
+    ([[1, 0.5], [2, "1/2"]], "((1, 0.5), (2, Fraction(1, 2)))"),
+    ([[1, True]], "probability cannot be a boolean"),
+    ([[1, "1/2"], [1, "1/2"]], "duplicate atom 1"),
+    ([[1, "1/2"], [2, "1/3"]], "probabilities sum to 5/6, not 1"),
+    ([[1, "2/3"], [2, "2/3"]], "probabilities sum to 4/3, not 1"),
+    ([[1, "1/2"], [2, "1/2"], [3, "0"]], "((1, Fraction(1, 2)), (2, Fraction(1, 2)))"),
+    ([[1, "1/2"], ["x", "1/2"]], "expected a JSON integer, got 'x'"),
+    ([], "distribution needs at least one atom"),
+    pytest.param(
+        [[1, "1" * 5000 + "/1"]], "cannot parse probability '" + "1" * 5000 + "/1'",
+        id="more-digits-than-int-reads",
+    ),
+]
+
+
+@pytest.mark.parametrize("atoms, recorded", EDGE_ATOMS)
+def test_edge_config_probabilities_read_as_before(atoms, recorded):
+    def outcome(read):
+        try:
+            var = read()
+        except ValueError as exc:
+            return str(exc)
+        return repr(var.atoms), getattr(var, "weights_over_lcm", None)
+
+    config = {"instance": "int", "variables": [{"atoms": atoms}]}
+    new = outcome(lambda: sequence_from_config(config).variables[0])
+    assert new == outcome(lambda: read_by_of(parse_instance("int"), atoms))
+    assert (new if isinstance(new, str) else new[0]) == recorded
+
+
 def test_sequence_config_rejects_unknown_keys():
     config = sequence_to_config(rademacher_seq(1))
     config["surprise"] = 1
@@ -487,3 +566,17 @@ def test_real_vector_sequence():
     seq = IndependentSequence.build(real, [var, var])
     law = seq.walk_peak_law
     assert law.values == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_long_pm1_walk_laws_match_the_reflection_formulas(n):
+    seq = rademacher_seq(n)
+    peak, end = seq.walk_peak_law, seq.end_distance_law
+    for a in range(1, n + 2):
+        assert peak.prob_le(a - 1) == F(pm1_peak_below_count(n, a), 2**n)
+    # |S_n| = k for k of the parity of n, from C(n, (n + k) / 2) paths each way
+    binomial = {k: F(math.comb(n, (n + k) // 2) * (2 if k else 1), 2**n) for k in range(n % 2, n + 1, 2)}
+    assert dict(zip(end.values, end.probs)) == binomial
+    # Levy's inequality, at every t: the laws change only at integers
+    for t in range(n + 2):
+        assert peak.prob_ge(t) <= 2 * end.prob_ge(t)

@@ -50,8 +50,10 @@ from sgverify.rng import derive_seed, uniform_block
 from law_oracles import (
     enumerate_outcomes,
     pair_pass_stay,
+    point_mass,
     product_magnitude_laws,
     product_step_peak_law,
+    uniform,
 )
 
 F = Fraction
@@ -319,7 +321,7 @@ def golden_sequences():
     # torus:2 columns of 2 and 4 atoms, the 4-atom one in runs of two
     torus2 = [
         DiscreteDistribution.of([((0.25, 0.5), F(1, 3)), ((0.75, 0.0), F(2, 3))]),
-        DiscreteDistribution.uniform([(0.1, 0.9), (0.95, 0.05), (0.0, 0.1), (0.9, 0.0)]),
+        uniform([(0.1, 0.9), (0.95, 0.05), (0.0, 0.1), (0.9, 0.0)]),
         DiscreteDistribution.of([((0.5, 0.5), F(1, 2)), ((0.0, 0.125), F(1, 2))]),
     ]
     posreal = {
@@ -358,7 +360,7 @@ def golden_sequences():
         # Float states that rarely repeat: the table outgrows its cap and
         # starts afresh.
         "torus-drift": IndependentSequence.build(
-            torus, [DiscreteDistribution.uniform([(0.1234567,), (0.7654321,)])] * 40
+            torus, [uniform([(0.1234567,), (0.7654321,)])] * 40
         ),
         "posreal-types": IndependentSequence.build(
             PositiveRationalsAdditive(), [types[c] for c in "IIIIIIIIIF"]
@@ -671,7 +673,7 @@ def float_column(rng, k, tiny_last=0.0):
 
 
 def ints(k):
-    return DiscreteDistribution.uniform(list(range(-(k // 2), k - k // 2)))
+    return uniform(list(range(-(k // 2), k - k // 2)))
 
 
 def adversarial_sequences():
@@ -702,13 +704,13 @@ def adversarial_sequences():
         "torus-interleaved": IndependentSequence.build(
             torus,
             [
-                DiscreteDistribution.uniform([(i / 12,) for i in range(12)]),
-                DiscreteDistribution.point_mass((0.25,)),
-                DiscreteDistribution.uniform([(0.0,), (0.5,)]),
-                DiscreteDistribution.uniform([(0.0,), (0.5,)]),
-                DiscreteDistribution.point_mass((0.125,)),
+                uniform([(i / 12,) for i in range(12)]),
+                point_mass((0.25,)),
+                uniform([(0.0,), (0.5,)]),
+                uniform([(0.0,), (0.5,)]),
+                point_mass((0.125,)),
                 DiscreteDistribution.of([((0.0,), 0.3), ((0.75,), 0.7)]),
-                DiscreteDistribution.uniform([((i - 4) / 16 % 1.0,) for i in range(9)]),
+                uniform([((i - 4) / 16 % 1.0,) for i in range(9)]),
                 DiscreteDistribution.of([((0.0,), 0.3), ((0.75,), 0.7)]),
             ],
         ),
@@ -752,7 +754,7 @@ def test_monte_carlo_steps_as_often_as_the_reference(chunk_size):
     # the same atoms in the other order are other elements, and end a run
     sign = DiscreteDistribution.of([(-1, F(1, 2)), (1, F(1, 2))])
     skew = DiscreteDistribution.of([(2, 0.25), (-1, 0.75)])
-    one = DiscreteDistribution.point_mass(1)
+    one = point_mass(1)
     mixed = [pm1, pm1, sign, pm1, one, skew, skew, pm1] * 5
     trials = 50 if chunk_size == 1 else 3000
     for columns in ([pm1] * 200, mixed):
@@ -769,8 +771,8 @@ def test_monte_carlo_pair_tables_at_their_size_limit():
     # other elements (fresh columns).  With chunks of 3 trials, some column
     # has states x atoms = 6 = 2 * batch, the largest table; with chunks of
     # 4, some column has 9 = 2 * batch + 1 and sorts its pairs instead.
-    three = DiscreteDistribution.uniform([-1, 0, 1])
-    other = DiscreteDistribution.uniform([-2, 0, 3])
+    three = uniform([-1, 0, 1])
+    other = uniform([-2, 0, 3])
     reached = set()
     for columns in ([three] * 8, [three, other] * 4):
         for chunk_size in (3, 4):
@@ -791,7 +793,7 @@ def test_monte_carlo_pair_tables_at_their_size_limit():
 def atom_matrix_columns():
     pm1 = DiscreteDistribution.of([(1, F(1, 2)), (-1, F(1, 2))])
     sign = DiscreteDistribution.of([(-1, F(1, 2)), (1, F(1, 2))])
-    one = DiscreteDistribution.point_mass(3)
+    one = point_mass(3)
     eight = ints(MAX_THRESHOLD_ATOMS)
     return {
         "1-atom": [one, pm1, one, one, pm1, pm1, one],
@@ -801,7 +803,7 @@ def atom_matrix_columns():
         # runs of one column between columns of 1 to 9 atoms
         "interleaved": [
             pm1, sign, eight, sign, eight, one,
-            DiscreteDistribution.point_mass(1), ints(MAX_THRESHOLD_ATOMS + 1), pm1, sign,
+            point_mass(1), ints(MAX_THRESHOLD_ATOMS + 1), pm1, sign,
         ],
     }
 
@@ -886,9 +888,9 @@ def test_monte_carlo_law_does_not_depend_on_chunk_size(spec, seed, trials, stati
     rng = random.Random(seed)
     torus = TorusGroup(1)
     columns = (
-        DiscreteDistribution.uniform([torus.random_element(rng) for _ in range(12)]),
-        DiscreteDistribution.uniform([torus.random_element(rng) for _ in range(2)]),
-        DiscreteDistribution.uniform([torus.random_element(rng) for _ in range(3)]),
+        uniform([torus.random_element(rng) for _ in range(12)]),
+        uniform([torus.random_element(rng) for _ in range(2)]),
+        uniform([torus.random_element(rng) for _ in range(3)]),
     )
     wide = [float_column(rng, rng.randint(MAX_THRESHOLD_ATOMS + 1, 64)) for _ in range(2)]
     seqs = (

@@ -40,6 +40,7 @@ from law_oracles import (
     fraction_moment,
     fraction_rearrangement_at,
     fraction_tail_sum_inverse,
+    scalar_point_mass,
     tail_sum,
 )
 
@@ -177,7 +178,7 @@ def test_quantile_layer_matches_linear_scans_on_random_laws(mags, levels):
 
 
 def test_quantile_layer_rejects_what_the_scans_reject():
-    law = ScalarLaw.point_mass(1)
+    law = scalar_point_mass(1)
     for bad in (lambda f: f([], F(1, 2)), lambda f: f([law], 0)):
         for fn in (tail_sum_inverse, scan_tail_sum_inverse):
             with pytest.raises(ValueError):

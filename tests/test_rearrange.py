@@ -21,6 +21,7 @@ from law_oracles import (
     TransferTuple,
     check_rearrangement_transfer,
     rearrangement_grid_law,
+    scalar_point_mass,
     tail_sum,
     tail_sup_distance,
 )
@@ -48,7 +49,7 @@ def test_rearrangement_on_walk_peak_law():
 
 
 def test_rearrangement_rejects_negative_argument():
-    law = ScalarLaw.point_mass(1)
+    law = scalar_point_mass(1)
     with pytest.raises(ValueError):
         rearrangement_at(law, -0.1)
 
@@ -120,7 +121,7 @@ def test_rearrangement_is_equidistributed():
 
 
 def test_tail_sum_inverse_steps():
-    y1, y2 = ScalarLaw.point_mass(1), ScalarLaw.point_mass(2)
+    y1, y2 = scalar_point_mass(1), scalar_point_mass(2)
     assert tail_sum_inverse([y1, y2], F(3, 2)) == 1
     assert tail_sum_inverse([y1, y2], F(1, 2)) == 2
     assert tail_sum_inverse([y1, y2], 3) == 0
@@ -128,7 +129,7 @@ def test_tail_sum_inverse_steps():
 
 
 def test_tail_sum_inverse_single_constant():
-    y = ScalarLaw.point_mass(F(7, 2))
+    y = scalar_point_mass(F(7, 2))
     assert tail_sum_inverse([y], F(1, 2)) == F(7, 2)
     assert tail_sum_inverse([y], 1) == 0
     assert tail_sum_inverse([y], 2) == 0
@@ -138,7 +139,7 @@ def test_tail_sum_inverse_rejects_bad_input():
     with pytest.raises(ValueError):
         tail_sum_inverse([], F(1, 2))
     with pytest.raises(ValueError):
-        tail_sum_inverse([ScalarLaw.point_mass(1)], 0)
+        tail_sum_inverse([scalar_point_mass(1)], 0)
 
 
 def test_tail_sum_law_identity():
@@ -155,7 +156,7 @@ def test_tail_sum_law_identity():
 def test_tail_sum_law_lebesgue_consistency():
     # the law's quantiles reproduce the pointwise inverse
     y1 = ScalarLaw.from_pairs([(1, F(1, 2)), (3, F(1, 2))])
-    y2 = ScalarLaw.point_mass(2)
+    y2 = scalar_point_mass(2)
     law = tail_sum_inverse_law([y1, y2])
     for t in (F(1, 10), F(1, 3), F(2, 3), F(9, 10)):
         assert rearrangement_at(law, t) == tail_sum_inverse([y1, y2], t)
@@ -167,7 +168,7 @@ def test_excess_tail_moment_cases():
     assert excess_tail_moment([yu], F(3, 5), 1) == 1
     assert tail_sum_inverse([yu], F(2, 5)) == 3
     assert excess_tail_moment([yu], F(2, 5), 1) == 0
-    solo = ScalarLaw.point_mass(1)
+    solo = scalar_point_mass(1)
     assert excess_tail_moment([solo], F(2, 5), 1) == 0
 
 

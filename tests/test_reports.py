@@ -3,9 +3,12 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgverify import RatioReport, Uncertain, canonical_json, make_report
+from sgverify import InequalityReport, RatioReport, Uncertain, canonical_json, make_report
 from sgverify.reports import reports_to_csv, to_jsonable
 
 F = Fraction
@@ -64,6 +67,33 @@ def test_jsonable_fractions_and_infinities():
     assert blob == {"a": "1/3", "b": "inf", "c": [1, "2"]}
 
 
+def test_report_json_forms_leave_out_empty_optional_fields():
+    assert make_report("x", {"t": F(1, 2)}, F(1, 3), F(1, 2)).to_jsonable() == {
+        "name": "x",
+        "params": {"t": "1/2"},
+        "lhs": "1/3",
+        "rhs": "1/2",
+        "slack": "1/6",
+        "holds": True,
+        "engine": {"kind": "exact", "arithmetic": "rational"},
+    }
+    full = make_report("y", {}, 1.0, math.inf, degenerate="d", components={"c": F(1)}, note="n")
+    assert full.to_jsonable() == {
+        "name": "y",
+        "params": {},
+        "lhs": 1.0,
+        "rhs": "inf",
+        "slack": "inf",
+        "holds": True,
+        "engine": {"kind": "exact", "arithmetic": "degenerate"},
+        "degenerate": "d",
+        "components": {"c": "1"},
+        "note": "n",
+    }
+    ratio = RatioReport("r", {}, 0.5)
+    assert ratio.to_jsonable() == {"name": "r", "params": {}, "ratio": 0.5, "components": {}}
+
+
 def test_canonical_json_deterministic():
     payload = {"b": F(1, 2), "a": [3, 2.5]}
     assert canonical_json(payload) == canonical_json(payload)
@@ -105,3 +135,85 @@ def test_csv_header_of_mixed_report_kinds():
     # a key outside it is refused rather than written without that column
     with pytest.raises(ValueError, match="ratio"):
         reports_to_csv(iter(mixed), io.StringIO())
+
+
+class FloatSub(float):
+    pass
+
+
+class IntSub(int):
+    pass
+
+
+class Opaque:
+    """Written by its repr, as to_jsonable writes what it does not know."""
+
+    def __repr__(self):
+        return "Opaque(\u00e9)"
+
+
+class RawPayload:
+    """A `to_jsonable()` whose value json.dumps writes by its own rules:
+    raw non-finite floats, non-str keys."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def to_jsonable(self):
+        return self.payload
+
+
+def json_dumps_of_to_jsonable(x) -> str:
+    return json.dumps(to_jsonable(x), sort_keys=True, indent=2) + "\n"
+
+
+floats = st.floats(allow_nan=True, allow_infinity=True)
+texts = st.text() | st.sampled_from(['"', "\\", "\n", "\x00", "\u2028", "\ud800", "\u00e9", "\u2603"])
+numbers = st.integers() | st.fractions() | floats
+# what json.dumps writes as it is, keys of one sortable kind per object
+raw = st.recursive(
+    st.none() | st.booleans() | st.integers() | floats | texts,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(texts, inner, max_size=3)
+    | st.dictionaries(st.integers() | floats | st.booleans(), inner, max_size=3),
+    max_leaves=8,
+)
+leaves = (
+    st.none() | st.booleans() | numbers | texts
+    | floats.map(FloatSub) | floats.map(np.float64) | st.integers().map(IntSub)
+    | st.builds(Uncertain, floats, floats)
+    | st.frozensets(st.integers(), max_size=3) | st.frozensets(texts, max_size=3)
+    | st.frozensets(st.fractions(), max_size=3)
+    | st.builds(RawPayload, raw) | st.just(Opaque())
+)
+keys = texts | st.integers() | st.fractions() | floats | st.booleans() | st.none()
+trees = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(texts, inner, max_size=4)
+    | st.dictionaries(keys, inner, max_size=4)
+    | st.builds(
+        make_report, texts, st.dictionaries(texts, inner, max_size=3), numbers, numbers,
+        degenerate=st.none() | texts, components=st.none() | st.dictionaries(texts, inner),
+        note=st.none() | texts,
+    )
+    | st.builds(
+        make_report, texts, st.just({}), st.builds(Uncertain, floats, floats), numbers
+    )
+    | st.builds(
+        InequalityReport, texts, st.just({}), numbers, numbers, numbers, st.booleans(),
+        st.dictionaries(texts, inner, max_size=3),
+    )
+    | st.builds(
+        RatioReport, texts, st.dictionaries(texts, inner, max_size=3), numbers,
+        st.dictionaries(keys, inner, max_size=3), st.none() | texts, st.none() | texts,
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(trees)
+def test_canonical_json_is_json_dumps_of_to_jsonable(tree):
+    assert canonical_json(tree) == json_dumps_of_to_jsonable(tree)
